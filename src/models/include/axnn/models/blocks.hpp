@@ -19,10 +19,12 @@ public:
 
   std::string name() const override { return "basic_block"; }
   Tensor forward(const Tensor& x, const nn::ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const nn::ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
   std::vector<nn::Layer*> children() override;
 
 private:
+
   nn::Sequential main_;
   std::unique_ptr<nn::Sequential> shortcut_;  ///< null = identity
   Tensor relu_mask_;
@@ -38,6 +40,7 @@ public:
 
   std::string name() const override { return "inverted_residual"; }
   Tensor forward(const Tensor& x, const nn::ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const nn::ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
   std::vector<nn::Layer*> children() override { return {&path_}; }
 

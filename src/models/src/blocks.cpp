@@ -33,6 +33,23 @@ BasicBlock::BasicBlock(int64_t in_channels, int64_t out_channels, int64_t stride
   }
 }
 
+namespace {
+
+/// relu(a + b) in place of a — the block output forward and infer share;
+/// also fills the ReLU gradient mask when `mask` is set.
+Tensor add_relu(Tensor a, const Tensor& b, Tensor* mask) {
+  ops::add_inplace(a, b);
+  if (mask != nullptr) *mask = Tensor(a.shape());
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const bool pos = a[i] > 0.0f;
+    if (mask != nullptr) (*mask)[i] = pos ? 1.0f : 0.0f;
+    if (!pos) a[i] = 0.0f;
+  }
+  return a;
+}
+
+}  // namespace
+
 Tensor BasicBlock::forward(const Tensor& x, const ExecContext& ctx) {
   // Telemetry path segments match children() order (plan paths; the names
   // are unique siblings, so no "#k" suffix is ever needed here).
@@ -41,21 +58,21 @@ Tensor BasicBlock::forward(const Tensor& x, const ExecContext& ctx) {
     obs::ScopedPath scope("basic_block_main");
     a = main_.forward(x, ctx);
   }
-  Tensor b;
-  if (shortcut_) {
-    obs::ScopedPath scope("basic_block_shortcut");
-    b = shortcut_->forward(x, ctx);
-  } else {
-    b = x;
+  if (!shortcut_) return add_relu(std::move(a), x, &relu_mask_);
+  obs::ScopedPath scope("basic_block_shortcut");
+  return add_relu(std::move(a), shortcut_->forward(x, ctx), &relu_mask_);
+}
+
+Tensor BasicBlock::infer(const Tensor& x, const ExecContext& ctx) const {
+  nn::require_inference_context(*this, ctx);
+  Tensor a;
+  {
+    obs::ScopedPath scope("basic_block_main");
+    a = main_.infer(x, ctx);
   }
-  Tensor y = ops::add(a, b);
-  relu_mask_ = Tensor(y.shape());
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    const bool pos = y[i] > 0.0f;
-    relu_mask_[i] = pos ? 1.0f : 0.0f;
-    if (!pos) y[i] = 0.0f;
-  }
-  return y;
+  if (!shortcut_) return add_relu(std::move(a), x, nullptr);
+  obs::ScopedPath scope("basic_block_shortcut");
+  return add_relu(std::move(a), shortcut_->infer(x, ctx), nullptr);
 }
 
 Tensor BasicBlock::backward(const Tensor& dy) {
@@ -99,6 +116,17 @@ Tensor InvertedResidual::forward(const Tensor& x, const ExecContext& ctx) {
   {
     obs::ScopedPath scope("inverted_residual_path");
     y = path_.forward(x, ctx);
+  }
+  if (use_skip_) ops::add_inplace(y, x);
+  return y;
+}
+
+Tensor InvertedResidual::infer(const Tensor& x, const ExecContext& ctx) const {
+  nn::require_inference_context(*this, ctx);
+  Tensor y;
+  {
+    obs::ScopedPath scope("inverted_residual_path");
+    y = path_.infer(x, ctx);
   }
   if (use_skip_) ops::add_inplace(y, x);
   return y;

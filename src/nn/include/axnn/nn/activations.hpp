@@ -10,6 +10,7 @@ class ReLU final : public Layer {
 public:
   std::string name() const override { return "relu"; }
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
 
 private:
@@ -22,6 +23,7 @@ class ReLU6 final : public Layer {
 public:
   std::string name() const override { return "relu6"; }
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
 
 private:

@@ -16,6 +16,9 @@ public:
 
   std::string name() const override;
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  /// Normalizes with the running statistics (what forward does outside
+  /// training), without the xhat cache.
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> buffers() override { return {&running_mean_, &running_var_}; }
@@ -33,6 +36,9 @@ public:
   void fold_into(Conv2d& conv) const;
 
 private:
+  void check_input(const Tensor& x) const;
+  Tensor running_invstd() const;  ///< 1 / sqrt(running_var + eps)
+
   int64_t channels_;
   float eps_;
   float momentum_;

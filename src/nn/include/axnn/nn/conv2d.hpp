@@ -39,6 +39,7 @@ public:
 
   std::string name() const override;
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
   std::vector<Param*> params() override;
   void finalize_calibration(quant::Calibration method) override;
@@ -77,8 +78,15 @@ public:
   int64_t macs_per_sample(int64_t h, int64_t w) const;
 
 private:
-  Tensor run_gemm_float(const Tensor& w_mat, const Tensor& cols) const;
+  struct Caches;  // what forward keeps for backward (conv2d.cpp)
+
+  /// The computation forward and infer share. Writes nothing but the plan
+  /// memo; when `keep` is set it also fills the backward caches.
+  Tensor run(const Tensor& x, const ExecContext& ctx, const std::string& obs_path,
+             Caches* keep) const;
+  Tensor run_gemm_float(const float* w_mat, const Tensor& cols) const;
   Tensor output_from_mat(const Tensor& out_mat, const ConvGeom& g) const;
+  Tensor output_from_acc(const TensorI32& acc, const ConvGeom& g) const;
 
   Conv2dConfig cfg_;
   Param weight_;  ///< [O, C/groups, k, k]
@@ -101,14 +109,13 @@ private:
   Tensor cached_act_mask_; ///< STE clip mask in input layout (quant modes)
   Tensor cached_acc_;      ///< integer accumulators [O, P] (GE only)
   const ge::ErrorFit* cached_fit_ = nullptr;
-  ExecMode cached_mode_ = ExecMode::kFloat;
   int64_t last_macs_ = 0;
   std::string obs_path_;  ///< telemetry path captured at forward (backward reuses it)
 
-  /// Per-leaf plan memo: the forward/backward GEMMs of this layer resolve
-  /// their prepared plans here without touching the global cache's mutex.
-  /// mutable because run_gemm_float is const; layers are single-threaded at
-  /// a time (the serving lanes each own a model replica).
+  /// Per-leaf plan memo: the forward/infer/backward GEMMs of this layer
+  /// resolve their prepared plans here without touching the global cache's
+  /// mutex. mutable because infer is const; layers are single-threaded at a
+  /// time (the serving lanes each own a model replica).
   mutable kernels::PlanMemo plan_memo_;
 };
 

@@ -1,11 +1,17 @@
 // axnn — layer interface and parameter container.
 //
-// Autograd model: an explicit layer graph. Each layer caches what its own
-// backward needs during forward; Network/Sequential calls backward in
-// reverse order. Composite blocks (residual, inverted-residual) are layers
-// themselves and wire their internal data flow explicitly. This mirrors the
-// structure of approximate-DNN simulators (ProxSim): one conv/FC GEMM choke
-// point per layer where quantization and approximation attach.
+// Autograd model: an explicit layer graph with two entry points per layer.
+// forward() is the training pass: it caches what the layer's own backward
+// needs (activation columns, STE masks, BN xhat, ReLU masks) and
+// Network/Sequential calls backward in reverse order. infer() is the
+// inference pass: const, the same arithmetic bit for bit, and no caches —
+// anything that is never backpropagated (serving, evaluation, KD teachers)
+// runs it. Each layer implements one computational core that both entry
+// points call, so the arithmetic exists once; forward only adds its caches.
+// Composite blocks (residual, inverted-residual) are layers themselves and
+// wire their internal data flow explicitly. This mirrors the structure of
+// approximate-DNN simulators (ProxSim): one conv/FC GEMM choke point per
+// layer where quantization and approximation attach.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +48,16 @@ public:
 
   /// Forward pass; caches whatever backward needs (valid until next forward).
   virtual Tensor forward(const Tensor& x, const ExecContext& ctx) = 0;
+
+  /// Inference pass: bitwise the output forward() gives for the same input,
+  /// context and weights, but writes no member state — no backward caches,
+  /// no calibration observations, no last_mac_count(). The only thing it may
+  /// fill in is a GEMM leaf's plan memo (prepared-plan lookups, invisible in
+  /// results), so one model object still serves one thread at a time.
+  /// Throws std::logic_error for kCalibrate and training contexts (both
+  /// exist to mutate the layer). The default throws std::logic_error naming
+  /// the layer, for layer types without an inference path.
+  virtual Tensor infer(const Tensor& x, const ExecContext& ctx) const;
 
   /// Backward pass: consumes dL/d(output), returns dL/d(input) and
   /// accumulates parameter gradients. Must follow a forward with the same
@@ -85,6 +101,10 @@ public:
     for (Layer* c : children()) c->zero_grad();
   }
 };
+
+/// The infer() context check: throws std::logic_error naming `layer` when
+/// ctx is a calibration or training context.
+void require_inference_context(const Layer& layer, const ExecContext& ctx);
 
 /// Depth-first collection of all parameters in a layer tree.
 std::vector<Param*> collect_params(Layer& root);

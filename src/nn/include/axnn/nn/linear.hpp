@@ -20,6 +20,7 @@ public:
 
   std::string name() const override;
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
   std::vector<Param*> params() override;
   void finalize_calibration(quant::Calibration method) override;
@@ -46,6 +47,12 @@ public:
   int activation_bits() const { return act_bits_; }
 
 private:
+  struct Caches;  // what forward keeps for backward (linear.cpp)
+
+  /// See Conv2d::run — the computation forward and infer share.
+  Tensor run(const Tensor& x, const ExecContext& ctx, const std::string& obs_path,
+             Caches* keep) const;
+
   int64_t in_ = 0, out_ = 0;
   bool has_bias_ = true;
   Param weight_;  ///< [O, F]

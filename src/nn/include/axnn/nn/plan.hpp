@@ -85,6 +85,8 @@ std::vector<GemmLeaf> enumerate_gemm_leaves(Layer& root);
 /// collected metrics land under the same paths enumerate_gemm_leaves
 /// reports.
 std::vector<std::string> child_path_segments(Layer& node);
+/// The same segments computed from the children's names, in child order.
+std::vector<std::string> child_path_segments(std::vector<std::string> names);
 
 /// A LayerPlan bound to a concrete leaf, with registry objects materialized.
 struct ResolvedLayerPlan {

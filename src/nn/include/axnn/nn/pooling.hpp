@@ -11,6 +11,7 @@ class GlobalAvgPool final : public Layer {
 public:
   std::string name() const override { return "global_avg_pool"; }
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
 
 private:
@@ -22,6 +23,7 @@ class AvgPool2x2 final : public Layer {
 public:
   std::string name() const override { return "avg_pool_2x2"; }
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
 
 private:

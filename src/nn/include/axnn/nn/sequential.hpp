@@ -36,6 +36,9 @@ public:
   /// pass first — nested containers see the flag set and never advance the
   /// pass counter, so drivers don't call begin_pass() themselves.
   Tensor forward(const Tensor& x, const ExecContext& ctx) override;
+  /// The same pass through the children's infer(), fault injection and
+  /// telemetry scopes included.
+  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
 
   Tensor backward(const Tensor& dy) override {
     Tensor g = dy;

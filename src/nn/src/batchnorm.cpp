@@ -18,19 +18,64 @@ BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)
 
 std::string BatchNorm2d::name() const { return "bn_" + std::to_string(channels_); }
 
-Tensor BatchNorm2d::forward(const Tensor& x, const ExecContext& ctx) {
+namespace {
+
+/// y = gamma * xhat + beta with xhat = (x - mean) * invstd per channel — the
+/// arithmetic forward and infer share. Stores xhat too when `xhat` is set
+/// (forward's backward cache).
+void normalize(const Tensor& x, const float* mean, const float* invstd, const Tensor& gamma,
+               const Tensor& beta, Tensor& y, float* xhat) {
+  const int64_t n = x.shape()[0], ch = x.shape()[1], hw = x.shape()[2] * x.shape()[3];
+  for (int64_t b = 0; b < n; ++b)
+    for (int64_t c = 0; c < ch; ++c) {
+      const float mu = mean[c], is = invstd[c];
+      const float g = gamma[c], be = beta[c];
+      const int64_t off = (b * ch + c) * hw;
+      const float* px = x.data() + off;
+      float* py = y.data() + off;
+      float* ph = xhat != nullptr ? xhat + off : nullptr;
+      for (int64_t i = 0; i < hw; ++i) {
+        const float h = (px[i] - mu) * is;
+        if (ph != nullptr) ph[i] = h;
+        py[i] = g * h + be;
+      }
+    }
+}
+
+}  // namespace
+
+void BatchNorm2d::check_input(const Tensor& x) const {
   if (x.shape().rank() != 4 || x.shape()[1] != channels_)
     throw std::invalid_argument("BatchNorm2d::forward: bad input shape");
+}
+
+Tensor BatchNorm2d::running_invstd() const {
+  Tensor is(Shape{channels_});
+  for (int64_t c = 0; c < channels_; ++c) is[c] = 1.0f / std::sqrt(running_var_[c] + eps_);
+  return is;
+}
+
+Tensor BatchNorm2d::infer(const Tensor& x, const ExecContext& ctx) const {
+  require_inference_context(*this, ctx);
+  check_input(x);
+  const Tensor invstd = running_invstd();
+  Tensor y(x.shape());
+  normalize(x, running_mean_.data(), invstd.data(), gamma_.value, beta_.value, y, nullptr);
+  return y;
+}
+
+Tensor BatchNorm2d::forward(const Tensor& x, const ExecContext& ctx) {
+  check_input(x);
   const int64_t n = x.shape()[0], h = x.shape()[2], w = x.shape()[3];
   const int64_t m = n * h * w;  // samples per channel
   const int64_t hw = h * w;
 
   cached_training_ = ctx.training;
   cached_x_ = x;
-  cached_mean_ = Tensor(Shape{channels_});
-  cached_invstd_ = Tensor(Shape{channels_});
 
   if (ctx.training) {
+    cached_mean_ = Tensor(Shape{channels_});
+    cached_invstd_ = Tensor(Shape{channels_});
     for (int64_t c = 0; c < channels_; ++c) {
       double mean = 0.0;
       for (int64_t b = 0; b < n; ++b) {
@@ -54,26 +99,14 @@ Tensor BatchNorm2d::forward(const Tensor& x, const ExecContext& ctx) {
       running_var_[c] = (1.0f - momentum_) * running_var_[c] + momentum_ * static_cast<float>(var);
     }
   } else {
-    for (int64_t c = 0; c < channels_; ++c) {
-      cached_mean_[c] = running_mean_[c];
-      cached_invstd_[c] = 1.0f / std::sqrt(running_var_[c] + eps_);
-    }
+    cached_mean_ = running_mean_;
+    cached_invstd_ = running_invstd();
   }
 
   Tensor y(x.shape());
   cached_xhat_ = Tensor(x.shape());
-  for (int64_t b = 0; b < n; ++b)
-    for (int64_t c = 0; c < channels_; ++c) {
-      const float mu = cached_mean_[c], is = cached_invstd_[c];
-      const float g = gamma_.value[c], be = beta_.value[c];
-      const float* px = x.data() + (b * channels_ + c) * hw;
-      float* ph = cached_xhat_.data() + (b * channels_ + c) * hw;
-      float* py = y.data() + (b * channels_ + c) * hw;
-      for (int64_t i = 0; i < hw; ++i) {
-        ph[i] = (px[i] - mu) * is;
-        py[i] = g * ph[i] + be;
-      }
-    }
+  normalize(x, cached_mean_.data(), cached_invstd_.data(), gamma_.value, beta_.value, y,
+            cached_xhat_.data());
   return y;
 }
 
@@ -128,8 +161,9 @@ void BatchNorm2d::fold_into(Conv2d& conv) const {
     throw std::invalid_argument("fold_into: channel mismatch");
   std::vector<float> scale(static_cast<size_t>(channels_));
   std::vector<float> shift(static_cast<size_t>(channels_));
+  const Tensor invstd = running_invstd();
   for (int64_t c = 0; c < channels_; ++c) {
-    const float is = 1.0f / std::sqrt(running_var_[c] + eps_);
+    const float is = invstd[c];
     scale[static_cast<size_t>(c)] = gamma_.value[c] * is;
     shift[static_cast<size_t>(c)] = beta_.value[c] - running_mean_[c] * gamma_.value[c] * is;
   }

@@ -80,16 +80,27 @@ int64_t Conv2d::macs_per_sample(int64_t h, int64_t w) const {
   return cfg_.out_channels * cg * cfg_.kernel * cfg_.kernel * oh * ow;
 }
 
-Tensor Conv2d::run_gemm_float(const Tensor& w_mat, const Tensor& cols) const {
+/// Forward's backward caches (and the calibration pass's FP output), filled
+/// by run() only when forward asks for them.
+struct Conv2d::Caches {
+  ConvGeom geom{};
+  Tensor cols;      ///< effective cols [K, P]
+  Tensor w_mat;     ///< effective weight matrix [O, K/groups-block]
+  Tensor act_mask;  ///< STE clip mask (quantized modes)
+  Tensor acc;       ///< float copy of the integer accumulators [O, P] (GE only)
+  const ge::ErrorFit* fit = nullptr;
+  Tensor calib_out;  ///< FP out_mat of a kCalibrate pass
+};
+
+Tensor Conv2d::run_gemm_float(const float* w_mat, const Tensor& cols) const {
   const int64_t o = cfg_.out_channels, grp = cfg_.groups;
   const int64_t og = o / grp;
-  const int64_t kg = w_mat.numel() / o;
+  const int64_t kg = cols.shape()[0] / grp;
   const int64_t p = cols.shape()[1];
   Tensor out(Shape{o, p});
   for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({}, w_mat.data() + g * og * kg, cols.data() + g * kg * p,
-                  out.data() + g * og * p, og, kg, p,
-                  kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
+    kernels::gemm({}, w_mat + g * og * kg, cols.data() + g * kg * p, out.data() + g * og * p,
+                  og, kg, p, kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
   return out;
 }
 
@@ -107,60 +118,97 @@ Tensor Conv2d::output_from_mat(const Tensor& out_mat, const ConvGeom& g) const {
   return out;
 }
 
+Tensor Conv2d::output_from_acc(const TensorI32& acc, const ConvGeom& g) const {
+  // Fused dequant epilogue: [O, N*HW] int32 accumulators straight into the
+  // NCHW output, float(acc) * sx * sw + bias.
+  Tensor out(Shape{g.n, cfg_.out_channels, g.oh, g.ow});
+  const float sx = act_qp_.step, sw = wgt_qp_.step;
+  const int64_t hw = g.oh * g.ow;
+  const int64_t p_total = g.n * hw;
+  for (int64_t b = 0; b < g.n; ++b)
+    for (int64_t ch = 0; ch < cfg_.out_channels; ++ch) {
+      const float bias_v = cfg_.bias ? bias_.value[ch] : 0.0f;
+      const int32_t* src = acc.data() + ch * p_total + b * hw;
+      float* dst = out.data() + (b * cfg_.out_channels + ch) * hw;
+      for (int64_t p = 0; p < hw; ++p) dst[p] = static_cast<float>(src[p]) * sx * sw + bias_v;
+    }
+  return out;
+}
+
 Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
+  // Telemetry (zero-overhead when disabled): capture the metric path once —
+  // the backward pass runs outside the container scopes and reuses it.
+  if (obs::enabled()) obs_path_ = detail::leaf_obs_path(*this);
+  Caches keep;
+  Tensor y = run(x, ctx, obs_path_, &keep);
+  geom_ = keep.geom;
+  last_macs_ = macs_per_sample(geom_.h, geom_.w) * geom_.n;
+  if (ctx.mode == ExecMode::kCalibrate) {
+    act_obs_.observe(x);
+    calib_cols_ = keep.cols;
+    calib_out_fp_ = std::move(keep.calib_out);
+  }
+  cached_cols_ = std::move(keep.cols);
+  cached_w_mat_ = std::move(keep.w_mat);
+  cached_act_mask_ = std::move(keep.act_mask);
+  cached_acc_ = std::move(keep.acc);
+  cached_fit_ = keep.fit;
+  return y;
+}
+
+Tensor Conv2d::infer(const Tensor& x, const ExecContext& ctx) const {
+  require_inference_context(*this, ctx);
+  return run(x, ctx, obs::enabled() ? detail::leaf_obs_path(*this) : std::string{}, nullptr);
+}
+
+Tensor Conv2d::run(const Tensor& x, const ExecContext& ctx, const std::string& obs_path,
+                   Caches* keep) const {
   if (x.shape().rank() != 4 || x.shape()[1] != cfg_.in_channels)
     throw std::invalid_argument("Conv2d::forward: bad input shape " + x.shape().to_string());
-  geom_ = ConvGeom::of(x.shape(), cfg_.kernel, cfg_.stride, cfg_.padding);
+  const ConvGeom geom = ConvGeom::of(x.shape(), cfg_.kernel, cfg_.stride, cfg_.padding);
   const LeafExec ex = plan_leaf_exec(ctx, *this);
-  cached_mode_ = ex.mode;
-  cached_fit_ = nullptr;
-  cached_acc_ = Tensor{};
-  cached_act_mask_ = Tensor{};
+  if (keep != nullptr) keep->geom = geom;
 
   const int64_t o = cfg_.out_channels, grp = cfg_.groups;
   const int64_t og = o / grp;
   const int64_t cg = cfg_.in_channels / grp;
   const int64_t kg = cg * cfg_.kernel * cfg_.kernel;
-  const int64_t p = geom_.out_cols();
-  last_macs_ = og * kg * p * grp;
-
+  const int64_t p = geom.out_cols();
+  const int64_t macs = og * kg * p * grp;
   const Shape wmat_shape{o, kg};
 
-  // Telemetry (zero-overhead when disabled): capture the metric path once —
-  // the backward pass runs outside the container scopes and reuses it.
   const bool obs_on = obs::enabled();
-  if (obs_on) obs_path_ = detail::leaf_obs_path(*this);
-  obs::ScopedTimer timer("forward.ns", obs_path_);
+  obs::ScopedTimer timer("forward.ns", obs_path);
 
   switch (ex.mode) {
     case ExecMode::kFloat:
     case ExecMode::kCalibrate: {
-      Tensor cols = im2col(x, geom_);
-      Tensor w_mat = weight_.value.reshaped(wmat_shape);
-      Tensor out_mat = run_gemm_float(w_mat, cols);
-      if (ex.mode == ExecMode::kCalibrate) {
-        act_obs_.observe(x);
-        calib_cols_ = cols;
-        calib_out_fp_ = out_mat;
+      Tensor cols = im2col(x, geom);
+      Tensor out_mat = run_gemm_float(weight_.value.data(), cols);
+      if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, nullptr);
+      Tensor out = output_from_mat(out_mat, geom);
+      if (keep != nullptr) {
+        keep->cols = std::move(cols);
+        keep->w_mat = weight_.value.reshaped(wmat_shape);
+        if (ex.mode == ExecMode::kCalibrate) keep->calib_out = std::move(out_mat);
       }
-      cached_cols_ = std::move(cols);
-      cached_w_mat_ = std::move(w_mat);
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, Tensor{});
-      return output_from_mat(out_mat, geom_);
+      return out;
     }
 
     case ExecMode::kQuantExact: {
       if (!calibrated_) throw std::logic_error("Conv2d: quantized forward before calibration");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
-      const Tensor xq = quant::fake_quantize(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
-      Tensor cols = im2col(xq, geom_);
-      Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_).reshaped(wmat_shape);
-      Tensor out_mat = run_gemm_float(wq, cols);
-      cached_cols_ = std::move(cols);
-      cached_w_mat_ = std::move(wq);
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
-      return output_from_mat(out_mat, geom_);
+      Tensor cols = im2col(quant::fake_quantize(x, act_qp_), geom);
+      Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
+      const Tensor out_mat = run_gemm_float(wq.data(), cols);
+      if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
+      if (keep != nullptr) {
+        keep->act_mask = quant::ste_mask(x, act_qp_);
+        keep->cols = std::move(cols);
+        keep->w_mat = std::move(wq);
+        keep->w_mat.reshape(wmat_shape);
+      }
+      return output_from_mat(out_mat, geom);
     }
 
     case ExecMode::kQuantApprox: {
@@ -172,9 +220,7 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
         throw std::logic_error(
             "Conv2d: approximate execution requires weight_bits <= 4 (LUT operand)");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
-      const TensorI8 qx = quantize_i8(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
-      const TensorI8 qcols = im2col_i8(qx, geom_);
+      const TensorI8 qcols = im2col_i8(quantize_i8(x, act_qp_), geom);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
       const bool forced_exact = ctx.monitor != nullptr && ex.adder == nullptr &&
                                 ctx.monitor->force_exact(*this);
@@ -195,22 +241,21 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
           ctx.monitor->on_leaf_gemm(*this, g, !forced_exact, wg, xg, cg, og, kg, p,
                                     forced_exact ? nullptr : mul);
       }
-      // Dequantize accumulators; also materialise the float caches the STE
-      // backward needs (Eq. 5 uses the *exact* GEMM of the quantized values).
-      const float sx = act_qp_.step, sw = wgt_qp_.step;
-      Tensor out_mat(Shape{o, p});
-      for (int64_t i = 0; i < acc.numel(); ++i)
-        out_mat[i] = static_cast<float>(acc[i]) * sx * sw;
-      cached_cols_ = dequantize_i8(qcols, act_qp_);
-      cached_w_mat_ = dequantize_i8(qw, wgt_qp_).reshaped(wmat_shape);
-      if (ex.fit != nullptr && !ex.fit->is_constant()) {
-        cached_fit_ = ex.fit;
-        Tensor acc_f(acc.shape());
-        for (int64_t i = 0; i < acc.numel(); ++i) acc_f[i] = static_cast<float>(acc[i]);
-        cached_acc_ = std::move(acc_f);
+      Tensor out = output_from_acc(acc, geom);
+      if (keep != nullptr) {
+        // The STE backward (Eq. 5) uses the *exact* GEMM of the quantized
+        // values: keep them dequantized.
+        keep->act_mask = quant::ste_mask(x, act_qp_);
+        keep->cols = dequantize_i8(qcols, act_qp_);
+        keep->w_mat = dequantize_i8(qw, wgt_qp_).reshaped(wmat_shape);
+        if (ex.fit != nullptr && !ex.fit->is_constant()) {
+          keep->fit = ex.fit;
+          keep->acc = Tensor(acc.shape());
+          for (int64_t i = 0; i < acc.numel(); ++i) keep->acc[i] = static_cast<float>(acc[i]);
+        }
       }
       if (obs_on) {
-        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
+        detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
         obs::Collector* c = obs::collector();
         if (c != nullptr && c->config().ge_residual) {
           // Diagnostics: re-run the GEMM exactly to observe eps = y~ - y and
@@ -220,10 +265,10 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
             kernels::gemm_exact({}, qw.data() + g * og * kg, qcols.data() + g * kg * p,
                                 exact.data() + g * og * p, og, kg, p,
                                 kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
-          detail::record_ge_residual(obs_path_, ex.fit, acc.data(), exact.data(), acc.numel());
+          detail::record_ge_residual(obs_path, ex.fit, acc.data(), exact.data(), acc.numel());
         }
       }
-      return output_from_mat(out_mat, geom_);
+      return out;
     }
   }
   throw std::logic_error("Conv2d::forward: unknown mode");
@@ -301,11 +346,10 @@ void Conv2d::finalize_calibration(quant::Calibration method) {
         wgt_qp_ = quant::calibrate_min_mse(weight_.value, wgt_bits_);
         break;
       }
-      const Shape wmat_shape{cfg_.out_channels, calib_cols_->shape()[0] / cfg_.groups};
       wgt_qp_ = quant::calibrate_min_prop_qe(
           weight_.value, wgt_bits_, [&](const quant::QuantParams& p) {
-            const Tensor wq = quant::fake_quantize(weight_.value, p).reshaped(wmat_shape);
-            const Tensor out = run_gemm_float(wq, *calib_cols_);
+            const Tensor wq = quant::fake_quantize(weight_.value, p);
+            const Tensor out = run_gemm_float(wq.data(), *calib_cols_);
             return ops::mse(out, *calib_out_fp_);
           });
       break;

@@ -1,5 +1,6 @@
 #include "axnn/nn/im2col.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "axnn/tensor/threadpool.hpp"
@@ -24,6 +25,20 @@ ConvGeom ConvGeom::of(const Shape& x, int64_t kernel, int64_t stride, int64_t pa
 
 namespace {
 
+/// Output columns j whose tap iw = j*stride - padding + kw lies inside
+/// [0, w): a contiguous range [lo, hi) fixed by the tap column kw.
+struct ValidCols {
+  int64_t lo, hi;
+};
+
+ValidCols valid_cols(const ConvGeom& g, int64_t kw) {
+  const int64_t first = g.padding - kw;         // smallest j*stride allowed
+  const int64_t last = g.w - 1 + g.padding - kw;  // largest j*stride allowed
+  const int64_t lo = first <= 0 ? 0 : (first + g.stride - 1) / g.stride;
+  const int64_t hi = last < 0 ? 0 : std::min(g.ow, last / g.stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
 template <typename T>
 BasicTensor<T> im2col_impl(const BasicTensor<T>& x, const ConvGeom& g) {
   const int64_t rows = g.patch_rows();
@@ -37,6 +52,10 @@ BasicTensor<T> im2col_impl(const BasicTensor<T>& x, const ConvGeom& g) {
       const int64_t kw = r % g.kernel;
       const int64_t kh = (r / g.kernel) % g.kernel;
       const int64_t c = r / (g.kernel * g.kernel);
+      // Per row, the padding split of every output row is the same: zeros,
+      // a run of in-image taps (contiguous for stride 1), zeros.
+      const ValidCols v = valid_cols(g, kw);
+      const int64_t off = kw - g.padding;  // iw = j*stride + off
       T* crow = cd + r * cols_n;
       for (int64_t n = 0; n < g.n; ++n) {
         const T* xplane = xd + (n * g.c + c) * g.h * g.w;
@@ -44,14 +63,17 @@ BasicTensor<T> im2col_impl(const BasicTensor<T>& x, const ConvGeom& g) {
           const int64_t ih = i * g.stride - g.padding + kh;
           T* cpos = crow + (n * g.oh + i) * g.ow;
           if (ih < 0 || ih >= g.h) {
-            for (int64_t j = 0; j < g.ow; ++j) cpos[j] = T{};
+            std::fill(cpos, cpos + g.ow, T{});
             continue;
           }
           const T* xrow = xplane + ih * g.w;
-          for (int64_t j = 0; j < g.ow; ++j) {
-            const int64_t iw = j * g.stride - g.padding + kw;
-            cpos[j] = (iw >= 0 && iw < g.w) ? xrow[iw] : T{};
+          std::fill(cpos, cpos + v.lo, T{});
+          if (g.stride == 1) {
+            std::copy(xrow + v.lo + off, xrow + v.hi + off, cpos + v.lo);
+          } else {
+            for (int64_t j = v.lo; j < v.hi; ++j) cpos[j] = xrow[j * g.stride + off];
           }
+          std::fill(cpos + v.hi, cpos + g.ow, T{});
         }
       }
     }

@@ -61,34 +61,60 @@ Tensor linear_forward_float(const Tensor& x, const Tensor& w, const Tensor* bias
 }
 }  // namespace
 
+/// See Conv2d::Caches.
+struct Linear::Caches {
+  Tensor x;         ///< effective input [N, F]
+  Tensor w;         ///< effective weights [O, F]
+  Tensor act_mask;  ///< STE clip mask (quantized modes)
+  Tensor acc;       ///< float accumulators [N, O] (GE only)
+  const ge::ErrorFit* fit = nullptr;
+};
+
 Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
+  // Telemetry (zero-overhead when disabled); see Conv2d::forward.
+  if (obs::enabled()) obs_path_ = detail::leaf_obs_path(*this);
+  Caches keep;
+  Tensor y = run(x, ctx, obs_path_, &keep);
+  last_macs_ = x.shape()[0] * in_ * out_;
+  if (ctx.mode == ExecMode::kCalibrate) {
+    act_obs_.observe(x);
+    calib_x_ = x;
+    calib_out_fp_ = linear_forward_float(x, weight_.value, nullptr, &plan_memo_);
+  }
+  cached_x_ = std::move(keep.x);
+  cached_w_ = std::move(keep.w);
+  cached_act_mask_ = std::move(keep.act_mask);
+  cached_acc_ = std::move(keep.acc);
+  cached_fit_ = keep.fit;
+  return y;
+}
+
+Tensor Linear::infer(const Tensor& x, const ExecContext& ctx) const {
+  require_inference_context(*this, ctx);
+  return run(x, ctx, obs::enabled() ? detail::leaf_obs_path(*this) : std::string{}, nullptr);
+}
+
+Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& obs_path,
+                   Caches* keep) const {
   if (x.shape().rank() != 2 || x.shape()[1] != in_)
     throw std::invalid_argument("Linear::forward: bad input shape " + x.shape().to_string());
   const int64_t n = x.shape()[0];
-  last_macs_ = n * in_ * out_;
-  cached_fit_ = nullptr;
-  cached_acc_ = Tensor{};
-  cached_act_mask_ = Tensor{};
+  const int64_t macs = n * in_ * out_;
   const Tensor* bias = has_bias_ ? &bias_.value : nullptr;
   const LeafExec ex = plan_leaf_exec(ctx, *this);
 
-  // Telemetry (zero-overhead when disabled); see Conv2d::forward.
   const bool obs_on = obs::enabled();
-  if (obs_on) obs_path_ = detail::leaf_obs_path(*this);
-  obs::ScopedTimer timer("forward.ns", obs_path_);
+  obs::ScopedTimer timer("forward.ns", obs_path);
 
   switch (ex.mode) {
     case ExecMode::kFloat:
     case ExecMode::kCalibrate: {
       Tensor y = linear_forward_float(x, weight_.value, bias, &plan_memo_);
-      if (ex.mode == ExecMode::kCalibrate) {
-        act_obs_.observe(x);
-        calib_x_ = x;
-        calib_out_fp_ = linear_forward_float(x, weight_.value, nullptr, &plan_memo_);
+      if (keep != nullptr) {
+        keep->x = x;
+        keep->w = weight_.value;
       }
-      cached_x_ = x;
-      cached_w_ = weight_.value;
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, Tensor{});
+      if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, nullptr);
       return y;
     }
 
@@ -96,12 +122,14 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
       if (!calibrated_) throw std::logic_error("Linear: quantized forward before calibration");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
       Tensor xq = quant::fake_quantize(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
       Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
       Tensor y = linear_forward_float(xq, wq, bias, &plan_memo_);
-      cached_x_ = std::move(xq);
-      cached_w_ = std::move(wq);
-      if (obs_on) detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
+      if (keep != nullptr) {
+        keep->act_mask = quant::ste_mask(x, act_qp_);
+        keep->x = std::move(xq);
+        keep->w = std::move(wq);
+      }
+      if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
       return y;
     }
 
@@ -115,7 +143,6 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
             "Linear: approximate execution requires weight_bits <= 4 (LUT operand)");
       if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
       const TensorI8 qx = quantize_i8(x, act_qp_);
-      cached_act_mask_ = quant::ste_mask(x, act_qp_);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
       // gemm_approx computes W[O,F] ·~ X[F,N]: transpose the activations so
       // they take the 8-bit operand role.
@@ -138,29 +165,32 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
         ctx.monitor->on_leaf_gemm(*this, 0, !forced_exact, qw.data(), qxt.data(), acc.data(),
                                   out_, in_, n, forced_exact ? nullptr : mul);
 
+      // Fused dequant epilogue, transposing [O, N] back to [N, O].
       const float s = act_qp_.step * wgt_qp_.step;
       Tensor y(Shape{n, out_});
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < out_; ++j)
           y(i, j) = static_cast<float>(acc(j, i)) * s + (has_bias_ ? bias_.value[j] : 0.0f);
 
-      cached_x_ = dequantize_i8(qx, act_qp_);
-      cached_w_ = dequantize_i8(qw, wgt_qp_);
-      if (ex.fit != nullptr && !ex.fit->is_constant()) {
-        cached_fit_ = ex.fit;
-        Tensor acc_f(Shape{n, out_});
-        for (int64_t i = 0; i < n; ++i)
-          for (int64_t j = 0; j < out_; ++j) acc_f(i, j) = static_cast<float>(acc(j, i));
-        cached_acc_ = std::move(acc_f);
+      if (keep != nullptr) {
+        keep->act_mask = quant::ste_mask(x, act_qp_);
+        keep->x = dequantize_i8(qx, act_qp_);
+        keep->w = dequantize_i8(qw, wgt_qp_);
+        if (ex.fit != nullptr && !ex.fit->is_constant()) {
+          keep->fit = ex.fit;
+          keep->acc = Tensor(Shape{n, out_});
+          for (int64_t i = 0; i < n; ++i)
+            for (int64_t j = 0; j < out_; ++j) keep->acc(i, j) = static_cast<float>(acc(j, i));
+        }
       }
       if (obs_on) {
-        detail::record_leaf_forward(obs_path_, ex.mode, last_macs_, cached_act_mask_);
+        detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
         obs::Collector* c = obs::collector();
         if (c != nullptr && c->config().ge_residual) {
           TensorI32 exact(Shape{out_, n});
           kernels::gemm_exact({}, qw.data(), qxt.data(), exact.data(), out_, in_, n,
                               kernels::auto_backend(out_, in_, n), nullptr, &plan_memo_);
-          detail::record_ge_residual(obs_path_, ex.fit, acc.data(), exact.data(), acc.numel());
+          detail::record_ge_residual(obs_path, ex.fit, acc.data(), exact.data(), acc.numel());
         }
       }
       return y;

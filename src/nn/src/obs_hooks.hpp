@@ -33,20 +33,22 @@ inline const char* mode_metric(ExecMode m) {
 }
 
 /// Per-forward basics: call count, analytic MACs, exec-mode histogram and —
-/// when the quantized path produced an STE mask — the activation clip rate
-/// (fraction of inputs saturating the activation range; the mask is 1
-/// inside the range).
+/// in quantized passes, which pass the activation quantizer `act` — the
+/// activation clip rate: the fraction of inputs `x` outside the activation
+/// range (exactly where the STE mask is 0).
 inline void record_leaf_forward(const std::string& path, ExecMode mode, int64_t macs,
-                                const Tensor& act_mask) {
+                                const Tensor& x, const quant::QuantParams* act) {
   obs::Collector* c = obs::collector();
   if (c == nullptr) return;
   c->add(path, "forward.calls", 1.0);
   c->add(path, "forward.macs", static_cast<double>(macs));
   c->add(path, mode_metric(mode), 1.0);
-  if (!act_mask.empty()) {
-    double inside = 0.0;
-    for (int64_t i = 0; i < act_mask.numel(); ++i) inside += act_mask[i];
-    c->add(path, "act_clip_rate", 1.0 - inside / static_cast<double>(act_mask.numel()));
+  if (act != nullptr && !x.empty()) {
+    const float r = act->range();
+    int64_t inside = 0;
+    for (int64_t i = 0; i < x.numel(); ++i) inside += std::fabs(x[i]) <= r ? 1 : 0;
+    c->add(path, "act_clip_rate",
+           1.0 - static_cast<double>(inside) / static_cast<double>(x.numel()));
   }
 }
 

@@ -10,23 +10,25 @@
 namespace axnn::nn {
 
 std::vector<std::string> child_path_segments(Layer& node) {
-  const auto children = node.children();
+  std::vector<std::string> names;
+  for (Layer* c : node.children()) names.push_back(c->name());
+  return child_path_segments(std::move(names));
+}
+
+std::vector<std::string> child_path_segments(std::vector<std::string> names) {
   // Occurrence-disambiguate repeated sibling names ("#k", 0-based) so every
   // path is unique; unique names stay suffix-free, which keeps common paths
   // short and stable when unrelated siblings (e.g. BatchNorms) disappear.
   std::map<std::string, int> total, seen;
-  for (Layer* c : children) ++total[c->name()];
-  std::vector<std::string> segs;
-  segs.reserve(children.size());
-  for (Layer* c : children) {
-    std::string seg = c->name();
+  for (const std::string& n : names) ++total[n];
+  for (std::string& seg : names) {
     if (total[seg] > 1) {
+      const int k = seen[seg]++;
       seg += '#';
-      seg += std::to_string(seen[c->name()]++);
+      seg += std::to_string(k);
     }
-    segs.push_back(std::move(seg));
   }
-  return segs;
+  return names;
 }
 
 namespace {

@@ -4,9 +4,10 @@
 
 namespace axnn::nn {
 
-Tensor GlobalAvgPool::forward(const Tensor& x, const ExecContext&) {
+namespace {
+
+Tensor global_avg_pool(const Tensor& x) {
   if (x.shape().rank() != 4) throw std::invalid_argument("GlobalAvgPool: expected NCHW");
-  in_shape_ = x.shape();
   const int64_t n = x.shape()[0], c = x.shape()[1], hw = x.shape()[2] * x.shape()[3];
   Tensor y(Shape{n, c});
   const float inv = 1.0f / static_cast<float>(hw);
@@ -18,6 +19,34 @@ Tensor GlobalAvgPool::forward(const Tensor& x, const ExecContext&) {
       y(b, ch) = static_cast<float>(s) * inv;
     }
   return y;
+}
+
+Tensor avg_pool_2x2(const Tensor& x) {
+  if (x.shape().rank() != 4) throw std::invalid_argument("AvgPool2x2: expected NCHW");
+  if (x.shape()[2] % 2 || x.shape()[3] % 2)
+    throw std::invalid_argument("AvgPool2x2: spatial dims must be even");
+  const int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
+  Tensor y(Shape{n, c, h / 2, w / 2});
+  for (int64_t b = 0; b < n; ++b)
+    for (int64_t ch = 0; ch < c; ++ch)
+      for (int64_t i = 0; i < h / 2; ++i)
+        for (int64_t j = 0; j < w / 2; ++j)
+          y(b, ch, i, j) = 0.25f * (x(b, ch, 2 * i, 2 * j) + x(b, ch, 2 * i, 2 * j + 1) +
+                                    x(b, ch, 2 * i + 1, 2 * j) + x(b, ch, 2 * i + 1, 2 * j + 1));
+  return y;
+}
+
+}  // namespace
+
+Tensor GlobalAvgPool::forward(const Tensor& x, const ExecContext&) {
+  Tensor y = global_avg_pool(x);
+  in_shape_ = x.shape();
+  return y;
+}
+
+Tensor GlobalAvgPool::infer(const Tensor& x, const ExecContext& ctx) const {
+  require_inference_context(*this, ctx);
+  return global_avg_pool(x);
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& dy) {
@@ -36,19 +65,14 @@ Tensor GlobalAvgPool::backward(const Tensor& dy) {
 }
 
 Tensor AvgPool2x2::forward(const Tensor& x, const ExecContext&) {
-  if (x.shape().rank() != 4) throw std::invalid_argument("AvgPool2x2: expected NCHW");
-  if (x.shape()[2] % 2 || x.shape()[3] % 2)
-    throw std::invalid_argument("AvgPool2x2: spatial dims must be even");
+  Tensor y = avg_pool_2x2(x);
   in_shape_ = x.shape();
-  const int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
-  Tensor y(Shape{n, c, h / 2, w / 2});
-  for (int64_t b = 0; b < n; ++b)
-    for (int64_t ch = 0; ch < c; ++ch)
-      for (int64_t i = 0; i < h / 2; ++i)
-        for (int64_t j = 0; j < w / 2; ++j)
-          y(b, ch, i, j) = 0.25f * (x(b, ch, 2 * i, 2 * j) + x(b, ch, 2 * i, 2 * j + 1) +
-                                    x(b, ch, 2 * i + 1, 2 * j) + x(b, ch, 2 * i + 1, 2 * j + 1));
   return y;
+}
+
+Tensor AvgPool2x2::infer(const Tensor& x, const ExecContext& ctx) const {
+  require_inference_context(*this, ctx);
+  return avg_pool_2x2(x);
 }
 
 Tensor AvgPool2x2::backward(const Tensor& dy) {

@@ -1,5 +1,6 @@
 #include "axnn/nn/sequential.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "axnn/nn/batchnorm.hpp"
@@ -9,7 +10,12 @@
 
 namespace axnn::nn {
 
-Tensor Sequential::forward(const Tensor& x, const ExecContext& ctx) {
+namespace {
+
+/// The container pass forward() and infer() share; `step` runs one child.
+template <typename Step>
+Tensor run_children(const std::vector<std::unique_ptr<Layer>>& layers, const Tensor& x,
+                    const ExecContext& ctx, Step step) {
   // Root-of-pass detection: the first Sequential to see an injector-carrying
   // context begins the pass and marks the context copy it hands down, so the
   // (pass, site) sequence is identical to the old driver-called contract.
@@ -17,29 +23,41 @@ Tensor Sequential::forward(const Tensor& x, const ExecContext& ctx) {
     ctx.faults->begin_pass();
     ExecContext inner = ctx;
     inner.fault_pass_begun = true;
-    return forward(x, inner);
+    return run_children(layers, x, inner, step);
   }
+  // Telemetry pass: scope each child under its plan-path segment so leaf
+  // metrics aggregate per plan-addressable path. The scopes only touch a
+  // thread-local string, never the computation.
+  std::vector<std::string> segs;
   if (obs::enabled()) {
-    // Telemetry pass: scope each child under its plan-path segment so leaf
-    // metrics aggregate per plan-addressable path. Same computation as the
-    // plain loop below — the scopes only touch a thread-local string.
-    const auto segs = child_path_segments(*this);
-    Tensor h = x;
-    for (size_t i = 0; i < layers_.size(); ++i) {
-      obs::ScopedPath scope(segs[i]);
-      h = layers_[i]->forward(h, ctx);
-      if (ctx.faults != nullptr) ctx.faults->corrupt(h);
-    }
-    return h;
+    segs.reserve(layers.size());
+    for (const auto& l : layers) segs.push_back(l->name());
+    segs = child_path_segments(std::move(segs));
   }
   Tensor h = x;
-  for (auto& l : layers_) {
-    h = l->forward(h, ctx);
+  for (size_t i = 0; i < layers.size(); ++i) {
+    std::optional<obs::ScopedPath> scope;
+    if (!segs.empty()) scope.emplace(segs[i]);
+    h = step(*layers[i], h, ctx);
     // Resilience: bit flips in the activations flowing between layers
     // (nested Sequentials inject between their own children too).
     if (ctx.faults != nullptr) ctx.faults->corrupt(h);
   }
   return h;
+}
+
+}  // namespace
+
+Tensor Sequential::forward(const Tensor& x, const ExecContext& ctx) {
+  return run_children(layers_, x, ctx, [](Layer& l, const Tensor& h, const ExecContext& c) {
+    return l.forward(h, c);
+  });
+}
+
+Tensor Sequential::infer(const Tensor& x, const ExecContext& ctx) const {
+  require_inference_context(*this, ctx);
+  return run_children(layers_, x, ctx, [](const Layer& l, const Tensor& h,
+                                          const ExecContext& c) { return l.infer(h, c); });
 }
 
 void Sequential::fold_batchnorms() {
@@ -56,6 +74,17 @@ void Sequential::fold_batchnorms() {
     }
   }
   for (auto& l : layers_) l->fold_batchnorms();
+}
+
+Tensor Layer::infer(const Tensor&, const ExecContext&) const {
+  throw std::logic_error(name() + ": infer is not implemented for this layer");
+}
+
+void require_inference_context(const Layer& layer, const ExecContext& ctx) {
+  if (ctx.mode == ExecMode::kCalibrate)
+    throw std::logic_error(layer.name() + "::infer: calibration passes must use forward");
+  if (ctx.training)
+    throw std::logic_error(layer.name() + "::infer: training passes must use forward");
 }
 
 std::vector<Param*> collect_params(Layer& root) {

@@ -38,8 +38,25 @@ float round_to_pow2(float step);
 /// (i.e. the next power of two >= max_abs / qmax).
 QuantParams params_for_max_abs(float max_abs, int bits);
 
-/// Integer quantization: q = clamp(round(x / step), qmin, qmax).
+/// Integer quantization: q = clamp(round(x / step), qmin, qmax), rounding
+/// half to even. Saturating: the clamp happens in float before the integer
+/// conversion, so ±inf and any finite |x / step| >= 2^31 give qmin/qmax
+/// (never a wrapped value); NaN gives 0. For every non-NaN x this equals
+/// fake_quantize(x) / step.
 TensorI32 quantize(const Tensor& x, const QuantParams& p);
+
+/// The quantize loop on raw buffers: q[i] for i in [0, n), same semantics
+/// as quantize(). Vectorised with SSE2 (AVX2 when the CPU has it) on x86-64;
+/// other ISAs run the scalar loop. Both give the same bits.
+void quantize_into(const float* x, int64_t n, const QuantParams& p, int32_t* q);
+/// int8 output (the approximate GEMM operand); requires p.bits <= 8.
+void quantize_into(const float* x, int64_t n, const QuantParams& p, int8_t* q);
+
+namespace detail {
+/// The portable scalar loops quantize_into must match bit for bit.
+void quantize_scalar(const float* x, int64_t n, const QuantParams& p, int32_t* q);
+void quantize_scalar(const float* x, int64_t n, const QuantParams& p, int8_t* q);
+}  // namespace detail
 
 /// Dequantization: x~ = q * step.
 Tensor dequantize(const TensorI32& q, const QuantParams& p);

@@ -321,6 +321,7 @@ private:
 
   Engine* engine_ = nullptr;
   std::string name_;
+  std::string obs_path_;  ///< "serve/<name>", the session's telemetry path
   std::string plan_text_;
   bool ladder_ = false;  ///< serves the engine's qos ladder
   std::vector<std::string> point_names_;

@@ -4,8 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "axnn/energy/energy.hpp"
+#include "axnn/nn/conv2d.hpp"
+#include "axnn/nn/linear.hpp"
+#include "axnn/nn/monitor.hpp"
 #include "axnn/nn/serialize.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/train/evaluate.hpp"
@@ -22,6 +26,33 @@ int argmax_row(const float* row, int n) {
 }
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// Per-leaf MACs of one pass, read off the input shapes quantized leaves
+/// report to their monitor (infer keeps no last_mac_count). Changes nothing:
+/// never forces the exact kernel, never repairs an accumulator.
+class MacCounter final : public nn::ForwardMonitor {
+public:
+  int64_t of(const nn::Layer* leaf) const {
+    const auto it = macs_.find(leaf);
+    return it == macs_.end() ? 0 : it->second;
+  }
+
+  bool force_exact(const nn::Layer&) override { return false; }
+  void on_leaf_input(const nn::Layer& leaf, const Tensor& x) override {
+    const int64_t n = x.shape()[0];
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&leaf))
+      macs_[&leaf] = n * conv->macs_per_sample(x.shape()[2], x.shape()[3]);
+    else if (const auto* lin = dynamic_cast<const nn::Linear*>(&leaf))
+      macs_[&leaf] = n * lin->in_features() * lin->out_features();
+  }
+  bool on_leaf_gemm(const nn::Layer&, int64_t, bool, const int8_t*, const int8_t*, int32_t*,
+                    int64_t, int64_t, int64_t, const approx::SignedMulTable*) override {
+    return false;
+  }
+
+private:
+  std::unordered_map<const nn::Layer*, int64_t> macs_;
+};
 
 }  // namespace
 
@@ -310,7 +341,7 @@ std::unique_ptr<Engine> Engine::load(ModelSpec spec) {
   // Probe once through lane 0: pins num_classes and warms the conv geometry
   // caches for the single-sample shape.
   const Tensor probe =
-      e->lanes_[0]->forward(test.slice(0, 1).first, def.exec_context(0));
+      e->lanes_[0]->infer(test.slice(0, 1).first, def.exec_context(0));
   e->num_classes_ = static_cast<int>(probe.shape()[probe.shape().rank() - 1]);
 
   if (e->qos_enabled()) {
@@ -430,6 +461,7 @@ Session& Engine::open_session(const std::string& name, const std::string& plan_t
   auto session = std::unique_ptr<Session>(new Session());
   session->engine_ = this;
   session->name_ = name;
+  session->obs_path_ = "serve/" + name;
   session->ladder_ = ladder;
   session->plan_text_ = ladder ? qos::to_text(qos_specs_) : pts.front().plan_text;
   session->ring_.resize(static_cast<size_t>(spec_.batching.queue_capacity));
@@ -497,6 +529,11 @@ void Engine::measure_point_metadata(Session& def) {
     holdout.labels = std::move(sl.second);
   }
 
+  // Leaf MACs depend only on shapes, never on the point: one plan-less
+  // quantized pass counts them for every point's energy estimate.
+  MacCounter macs;
+  (void)lanes_[0]->infer(probe_img, nn::ExecContext::quant_exact().with_monitor(macs));
+
   points_meta_.clear();
   for (size_t p = 0; p < qos_specs_.size(); ++p) {
     const nn::PlanResolution& res = *def.points_[p][0].resolution;
@@ -507,17 +544,16 @@ void Engine::measure_point_metadata(Session& def) {
 
     qos::OperatingPoint op{qos_specs_[p].name, qos_specs_[p].plan_text};
 
-    // Latency: mean of single-sample forwards on lane 0 (also refreshes
-    // each leaf's last_mac_count for the energy estimate below).
+    // Latency: mean of single-sample inference passes on lane 0.
     const int64_t t0 = obs::now_ns();
-    for (int r = 0; r < spec_.qos_latency_probes; ++r) (void)lanes_[0]->forward(probe_img, ctx);
+    for (int r = 0; r < spec_.qos_latency_probes; ++r) (void)lanes_[0]->infer(probe_img, ctx);
     op.latency_est_ms = static_cast<double>(obs::now_ns() - t0) / 1e6 /
                         static_cast<double>(spec_.qos_latency_probes);
 
     std::vector<std::pair<int64_t, axmul::MultiplierSpec>> shares;
     for (const auto& en : res.entries()) {
       const bool exact_mode = en.plan.mode.has_value() && *en.plan.mode != nn::ExecMode::kQuantApprox;
-      shares.emplace_back(en.layer->last_mac_count(),
+      shares.emplace_back(macs.of(en.layer),
                           (exact_mode || en.plan.multiplier.empty())
                               ? exact_spec
                               : axmul::find_spec(en.plan.multiplier).value());
@@ -549,7 +585,7 @@ void Engine::calibrate_service_estimates(Session& def) {
     ctx.monitor = nullptr;
     const int probes = std::max(1, spec_.qos_latency_probes);
     const int64_t t0 = obs::now_ns();
-    for (int r = 0; r < probes; ++r) (void)lanes_[0]->forward(probe_img, ctx);
+    for (int r = 0; r < probes; ++r) (void)lanes_[0]->infer(probe_img, ctx);
     fastest_ms = slowest_ms =
         static_cast<double>(obs::now_ns() - t0) / 1e6 / static_cast<double>(probes);
   }
@@ -566,7 +602,7 @@ void Engine::capture_golden(Session& def) {
   golden_input_ = wb_->data().test.slice(0, 1).first;
   nn::ExecContext ctx = def.points_[0][0].ctx;
   ctx.monitor = nullptr;
-  golden_logits_ = lanes_[0]->forward(golden_input_, ctx);
+  golden_logits_ = lanes_[0]->infer(golden_input_, ctx);
 }
 
 void Engine::prewarm_points(const std::vector<std::vector<Session::Lane>>& points) {
@@ -583,7 +619,7 @@ void Engine::prewarm_points(const std::vector<std::vector<Session::Lane>>& point
       warm_ctx.monitor = nullptr;
       for (int b = 1; b <= spec_.batching.max_batch; ++b) {
         const Tensor warm(Shape{b, test.channels(), test.height(), test.width()}, 0.0f);
-        (void)lanes_[lane]->forward(warm, warm_ctx);
+        (void)lanes_[lane]->infer(warm, warm_ctx);
       }
     }
   }
@@ -979,8 +1015,8 @@ void Engine::execute_batch(BatchWork& work) {
   const int64_t t0 = obs::enabled() ? obs::now_ns() : 0;
   try {
     if (chaos_) chaos_(work.lane, work.lane_batch);
-    out = lanes_[static_cast<size_t>(work.lane)]->forward(batch,
-                                                          s.exec_context(work.lane, work.point));
+    out = lanes_[static_cast<size_t>(work.lane)]->infer(batch,
+                                                        s.exec_context(work.lane, work.point));
     if (out.numel() != static_cast<int64_t>(b) * num_classes_)
       throw std::logic_error("serve: unexpected logits shape from lane forward");
   } catch (...) {
@@ -988,8 +1024,8 @@ void Engine::execute_batch(BatchWork& work) {
   }
   if (obs::enabled() && !error) {
     obs::Collector* c = obs::collector();
-    c->add("serve/" + s.name(), "batch.size", static_cast<double>(b));
-    c->add("serve/" + s.name(), "batch.ns", static_cast<double>(obs::now_ns() - t0));
+    c->add(s.obs_path_, "batch.size", static_cast<double>(b));
+    c->add(s.obs_path_, "batch.ns", static_cast<double>(obs::now_ns() - t0));
   }
   finish_batch(work, error ? nullptr : &out, error);
 }
@@ -1099,7 +1135,7 @@ bool Engine::run_probe(int lane) {
   }
   bool pass = false;
   try {
-    const Tensor out = lanes_[static_cast<size_t>(lane)]->forward(golden_input_, ctx);
+    const Tensor out = lanes_[static_cast<size_t>(lane)]->infer(golden_input_, ctx);
     pass = out.numel() == golden_logits_.numel() &&
            std::equal(out.data(), out.data() + out.numel(), golden_logits_.data());
   } catch (...) {

@@ -105,11 +105,14 @@ private:
   using ChunkFn = void (*)(const void*, int64_t, int64_t);
 
   /// One parallel_for invocation; lives on the caller's stack for its
-  /// duration, so queued tasks only carry {job, begin, end}.
+  /// duration, so queued tasks only carry {job, begin, end}. `remaining`
+  /// only changes under `mu`, and a worker's unlock after its decrement is
+  /// its last access: the submitter cannot see zero (and destroy the Job)
+  /// while any worker still holds or awaits the mutex.
   struct Job {
     ChunkFn invoke;
     const void* ctx;
-    std::atomic<int64_t> remaining;
+    int64_t remaining;  ///< chunks not yet finished (guarded by mu)
     std::mutex mu;
     std::condition_variable cv;
     std::exception_ptr error;  ///< first chunk exception (guarded by mu)

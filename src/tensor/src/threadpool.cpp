@@ -82,18 +82,19 @@ void ThreadPool::worker_loop() {
       if (stop_ && queue_empty()) return;
       task = pop_locked();
     }
+    Job& job = *task.job;
+    std::exception_ptr error;
     try {
-      task.job->invoke(task.job->ctx, task.begin, task.end);
+      job.invoke(job.ctx, task.begin, task.end);
     } catch (...) {
-      // Keep the first exception; the submitting thread rethrows it after
-      // the whole invocation drains (the Job lives on its stack).
-      std::lock_guard<std::mutex> elk(task.job->mu);
-      if (!task.job->error) task.job->error = std::current_exception();
+      error = std::current_exception();
     }
-    if (task.job->remaining.fetch_sub(1) == 1) {
-      std::lock_guard<std::mutex> dlk(task.job->mu);
-      task.job->cv.notify_one();
-    }
+    // Publish the result under the Job's mutex. The Job lives on the
+    // submitter's stack; once this lock is released the submitter may
+    // return and destroy it, so the unlock is the worker's last access.
+    std::lock_guard<std::mutex> dlk(job.mu);
+    if (error && !job.error) job.error = std::move(error);  // keep the first
+    if (--job.remaining == 0) job.cv.notify_one();
   }
 }
 
@@ -118,7 +119,7 @@ void ThreadPool::set_global_threads(int threads) {
 
 void ThreadPool::run_chunks(int64_t n, int64_t chunk, int64_t chunks, ChunkFn invoke,
                             const void* ctx) {
-  Job job{invoke, ctx, {chunks}, {}, {}, nullptr};
+  Job job{invoke, ctx, chunks, {}, {}, nullptr};
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (int64_t c = 1; c < chunks; ++c) {
@@ -131,15 +132,17 @@ void ThreadPool::run_chunks(int64_t n, int64_t chunk, int64_t chunks, ChunkFn in
 
   // The calling thread takes the first chunk. Its exception is captured too
   // so the wait below always happens — queued tasks point at this frame.
+  std::exception_ptr error;
   try {
     invoke(ctx, 0, std::min<int64_t>(n, chunk));
   } catch (...) {
-    std::lock_guard<std::mutex> elk(job.mu);
-    if (!job.error) job.error = std::current_exception();
+    error = std::current_exception();
   }
-  if (job.remaining.fetch_sub(1) != 1) {
+  {
     std::unique_lock<std::mutex> lk(job.mu);
-    job.cv.wait(lk, [&] { return job.remaining.load() == 0; });
+    if (error && !job.error) job.error = std::move(error);
+    --job.remaining;
+    job.cv.wait(lk, [&] { return job.remaining == 0; });
   }
   // All chunks are done; rethrow the first failure on the submitting thread.
   if (job.error) std::rethrow_exception(job.error);

@@ -9,12 +9,13 @@
 namespace axnn::train {
 
 /// Top-1 accuracy of `model` on `ds` under the given execution context
-/// (the context's `training` flag is forced off).
-double evaluate_accuracy(nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
+/// (the context's `training` flag is forced off). Runs Layer::infer, so a
+/// kCalibrate context throws std::logic_error.
+double evaluate_accuracy(const nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
                          int64_t batch_size = 256);
 
-/// Forward the whole dataset and return the [N, C] logits.
-Tensor predict_logits(nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
+/// Run the whole dataset through Layer::infer and return the [N, C] logits.
+Tensor predict_logits(const nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
                       int64_t batch_size = 256);
 
 /// Run kCalibrate passes over up to `num_samples` of `ds` and finalize the

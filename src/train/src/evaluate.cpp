@@ -8,7 +8,7 @@
 
 namespace axnn::train {
 
-Tensor predict_logits(nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
+Tensor predict_logits(const nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
                       int64_t batch_size) {
   ctx.training = false;
   Tensor all;
@@ -17,7 +17,7 @@ Tensor predict_logits(nn::Layer& model, const data::Dataset& ds, nn::ExecContext
     const int64_t count = std::min(batch_size, ds.size() - begin);
     auto [images, labels] = ds.slice(begin, count);
     (void)labels;
-    const Tensor logits = model.forward(images, ctx);
+    const Tensor logits = model.infer(images, ctx);
     if (all.empty()) all = Tensor(Shape{ds.size(), logits.shape()[1]});
     std::memcpy(all.data() + written * logits.shape()[1], logits.data(),
                 static_cast<size_t>(logits.numel()) * sizeof(float));
@@ -26,14 +26,14 @@ Tensor predict_logits(nn::Layer& model, const data::Dataset& ds, nn::ExecContext
   return all;
 }
 
-double evaluate_accuracy(nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
+double evaluate_accuracy(const nn::Layer& model, const data::Dataset& ds, nn::ExecContext ctx,
                          int64_t batch_size) {
   ctx.training = false;
   int64_t correct = 0;
   for (int64_t begin = 0; begin < ds.size(); begin += batch_size) {
     const int64_t count = std::min(batch_size, ds.size() - begin);
     auto [images, labels] = ds.slice(begin, count);
-    const Tensor logits = model.forward(images, ctx);
+    const Tensor logits = model.infer(images, ctx);
     const auto pred = ops::argmax_rows(logits);
     for (int64_t i = 0; i < count; ++i)
       correct += (pred[static_cast<size_t>(i)] == labels[static_cast<size_t>(i)]);

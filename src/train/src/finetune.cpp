@@ -127,7 +127,7 @@ FineTuneResult quantization_stage(nn::Layer& model, nn::Layer* teacher_fp,
     hooks.loss_fn = [teacher_fp, t = cfg.temperature](const Tensor& images,
                                                       const Tensor& student_logits,
                                                       const std::vector<int>& labels) {
-      const Tensor teacher_logits = teacher_fp->forward(images, nn::ExecContext::fp());
+      const Tensor teacher_logits = teacher_fp->infer(images, nn::ExecContext::fp());
       return kd::distillation_loss(student_logits, teacher_logits, labels, t);
     };
   } else {
@@ -179,7 +179,7 @@ FineTuneResult approximation_stage(nn::Layer& model, const ApproxStageSetup& set
                                                    const Tensor& student_logits,
                                                    const std::vector<int>& labels) {
         nn::LossResult loss = nn::cross_entropy(student_logits, labels);
-        const Tensor yq = teacher->forward(images, nn::ExecContext::quant_exact());
+        const Tensor yq = teacher->infer(images, nn::ExecContext::quant_exact());
         const nn::LossResult reg = nn::mse_loss(student_logits, yq);
         loss.value += alpha * reg.value;
         ops::axpy_inplace(loss.grad, static_cast<float>(alpha), reg.grad);
@@ -191,7 +191,7 @@ FineTuneResult approximation_stage(nn::Layer& model, const ApproxStageSetup& set
       hooks.loss_fn = [teacher, t = cfg.temperature](const Tensor& images,
                                                      const Tensor& student_logits,
                                                      const std::vector<int>& labels) {
-        const Tensor yq = teacher->forward(images, nn::ExecContext::quant_exact());
+        const Tensor yq = teacher->infer(images, nn::ExecContext::quant_exact());
         return kd::distillation_loss(student_logits, yq, labels, t);
       };
       break;

@@ -3,6 +3,8 @@
 // unusable cache as a cache miss.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +25,19 @@ namespace axnn::nn {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// A temp path unique to this process and test: `ctest -j` runs every test
+/// in its own process, so fixed names would let one test delete or rename
+/// another's files.
+std::string unique_temp_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = stem + "_" + std::to_string(::getpid()) + "_" + info->test_suite_name() +
+                     "." + info->name();
+  for (char& c : name)
+    if (c == '/') c = '_';
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
 
 std::unique_ptr<Sequential> tiny_net(uint64_t seed = 5) {
   Rng rng(seed);
@@ -56,7 +71,7 @@ std::string message_of(const std::function<void()>& fn) {
 class CheckpointFile : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "axnn_ckpt_test").string();
+    dir_ = unique_temp_path("axnn_ckpt_test");
     fs::create_directories(dir_);
     path_ = dir_ + "/net.axnp";
   }
@@ -194,7 +209,7 @@ TEST_F(CheckpointFile, IsParamFileSafeOnGarbage) {
 class CheckpointRotation : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "axnn_ckpt_rotation").string();
+    dir_ = unique_temp_path("axnn_ckpt_rotation");
     fs::remove_all(dir_);
     cfg_.dir = dir_;
     cfg_.stem = "model";
@@ -299,7 +314,7 @@ TEST_F(CheckpointRotation, RotatesRealParamFilesWithCrcFallback) {
 class WorkbenchCache : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "axnn_ckpt_wb_cache").string();
+    dir_ = unique_temp_path("axnn_ckpt_wb_cache");
     fs::remove_all(dir_);
     cfg_.model = core::ModelKind::kResNet20;
     cfg_.profile.image_size = 8;

@@ -2,6 +2,8 @@
 // activations, pooling, containers, SGD, serialization.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +23,18 @@
 
 namespace axnn::nn {
 namespace {
+
+/// A temp path unique to this process and test: `ctest -j` runs every test
+/// in its own process, so fixed names would let one test delete or rename
+/// another's files.
+std::string unique_temp_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = stem + "_" + std::to_string(::getpid()) + "_" + info->test_suite_name() +
+                     "." + info->name();
+  for (char& c : name)
+    if (c == '/') c = '_';
+  return (std::filesystem::temp_directory_path() / name).string();
+}
 
 const ExecContext kFp = ExecContext::fp();
 const ExecContext kFpTrain = ExecContext::fp(/*training=*/true);
@@ -48,6 +62,53 @@ TEST(Im2col, ValuesAndPadding) {
   EXPECT_FLOAT_EQ(cols(0, 0), 0.0f);
   // Output (2,2) with (kh=0,kw=0) reads x(1,1) = 5.
   EXPECT_FLOAT_EQ(cols(0, 8), 5.0f);
+}
+
+/// Per-element im2col reference: every tap bounds-checked on its own.
+template <typename T>
+BasicTensor<T> naive_im2col(const BasicTensor<T>& x, const ConvGeom& g) {
+  BasicTensor<T> cols(Shape{g.patch_rows(), g.out_cols()});
+  for (int64_t c = 0; c < g.c; ++c)
+    for (int64_t kh = 0; kh < g.kernel; ++kh)
+      for (int64_t kw = 0; kw < g.kernel; ++kw)
+        for (int64_t n = 0; n < g.n; ++n)
+          for (int64_t i = 0; i < g.oh; ++i)
+            for (int64_t j = 0; j < g.ow; ++j) {
+              const int64_t ih = i * g.stride - g.padding + kh;
+              const int64_t iw = j * g.stride - g.padding + kw;
+              const bool in = ih >= 0 && ih < g.h && iw >= 0 && iw < g.w;
+              cols((c * g.kernel + kh) * g.kernel + kw, (n * g.oh + i) * g.ow + j) =
+                  in ? x(n, c, ih, iw) : T{};
+            }
+  return cols;
+}
+
+TEST(Im2col, MatchesNaiveReference) {
+  Rng rng(21);
+  const int64_t dims[][2] = {{5, 7}, {6, 4}, {7, 6}, {4, 4}};
+  for (const auto& hw : dims)
+    for (const int64_t k : {1, 3})
+      for (const int64_t stride : {1, 2})
+        for (const int64_t pad : {0, 1}) {
+          const Tensor x = randn(Shape{2, 3, hw[0], hw[1]}, rng);
+          const ConvGeom g = ConvGeom::of(x.shape(), k, stride, pad);
+          SCOPED_TRACE("h " + std::to_string(hw[0]) + " w " + std::to_string(hw[1]) + " k " +
+                       std::to_string(k) + " s " + std::to_string(stride) + " p " +
+                       std::to_string(pad));
+          const Tensor want = naive_im2col(x, g);
+          const Tensor got = im2col(x, g);
+          ASSERT_EQ(got.shape(), want.shape());
+          for (int64_t i = 0; i < want.numel(); ++i) ASSERT_EQ(got[i], want[i]) << "index " << i;
+
+          TensorI8 xi(x.shape());
+          for (int64_t i = 0; i < x.numel(); ++i)
+            xi[i] = static_cast<int8_t>(static_cast<int64_t>(x[i] * 40.0f) % 128);
+          const TensorI8 want8 = naive_im2col(xi, g);
+          const TensorI8 got8 = im2col_i8(xi, g);
+          ASSERT_EQ(got8.shape(), want8.shape());
+          for (int64_t i = 0; i < want8.numel(); ++i)
+            ASSERT_EQ(got8[i], want8[i]) << "int8 index " << i;
+        }
 }
 
 TEST(Im2col, Col2imIsAdjoint) {
@@ -432,7 +493,7 @@ TEST(Serialize, RoundTripPreservesParamsAndBuffers) {
   for (int i = 0; i < 5; ++i) (void)net.forward(randn(Shape{2, 2, 4, 4}, rng), kFpTrain);
 
   const std::string path =
-      (std::filesystem::temp_directory_path() / "axnn_test_params.axnp").string();
+      unique_temp_path("axnn_test_params") + ".axnp";
   save_params(net, path);
   EXPECT_TRUE(is_param_file(path));
 
@@ -455,7 +516,7 @@ TEST(Serialize, MismatchedStructureThrows) {
   Sequential net;
   net.emplace<Linear>(4, 2, rng);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "axnn_test_bad.axnp").string();
+      unique_temp_path("axnn_test_bad") + ".axnp";
   save_params(net, path);
   Sequential other;
   other.emplace<Linear>(4, 3, rng);

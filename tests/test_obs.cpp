@@ -170,6 +170,39 @@ TEST(TelemetryModel, ForwardIsBitIdenticalWithCollectorOnOrOff) {
       ASSERT_EQ(off.numel(), on.numel());
       EXPECT_EQ(std::memcmp(off.data(), on.data(), sizeof(float) * off.numel()), 0);
       EXPECT_EQ(std::memcmp(off.data(), off2.data(), sizeof(float) * off.numel()), 0);
+
+      // The inference entry point: the same logits with the collector on or
+      // off, and the same telemetry records as forward (timers aside).
+      const nn::Layer& model = wb.model();
+      const Tensor infer_off = model.infer(batch.first, ctx);
+      obs::Collector ci({.timing = true, .ge_residual = true});
+      Tensor infer_on;
+      {
+        obs::ScopedCollector attach(ci);
+        infer_on = model.infer(batch.first, ctx);
+      }
+      ASSERT_EQ(off.numel(), infer_off.numel());
+      EXPECT_EQ(std::memcmp(off.data(), infer_off.data(), sizeof(float) * off.numel()), 0);
+      EXPECT_EQ(std::memcmp(off.data(), infer_on.data(), sizeof(float) * off.numel()), 0);
+      // Plan-cache counters ("kernels") depend on what earlier passes left
+      // in the per-leaf memos, so only the model's own paths are compared.
+      auto fwd_metrics = c.metrics(), inf_metrics = ci.metrics();
+      fwd_metrics.erase("kernels");
+      inf_metrics.erase("kernels");
+      ASSERT_EQ(fwd_metrics.size(), inf_metrics.size());
+      for (const auto& [path, by_name] : fwd_metrics) {
+        const auto it = inf_metrics.find(path);
+        ASSERT_NE(it, inf_metrics.end()) << "infer recorded nothing under " << path;
+        ASSERT_EQ(by_name.size(), it->second.size()) << path;
+        for (const auto& [metric, stat] : by_name) {
+          const auto m = it->second.find(metric);
+          ASSERT_NE(m, it->second.end()) << path << " " << metric;
+          EXPECT_EQ(stat.count, m->second.count) << path << " " << metric;
+          if (metric.size() < 3 || metric.compare(metric.size() - 3, 3, ".ns") != 0) {
+            EXPECT_EQ(stat.sum, m->second.sum) << path << " " << metric;
+          }
+        }
+      }
     }
   }
 }

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "axnn/quant/calibration.hpp"
 #include "axnn/quant/quantizer.hpp"
@@ -64,6 +68,75 @@ TEST(Quantize, ClampsToRange) {
   EXPECT_EQ(q[0], 7);
   EXPECT_EQ(q[1], -7);
   EXPECT_EQ(q[2], 0);
+}
+
+TEST(Quantize, SaturatesInsteadOfWrapping) {
+  // Scaled values far outside the int32 range used to wrap through lrintf;
+  // the quantizers now clamp in float first. For every non-NaN input the
+  // int8 and int32 results equal fake_quantize(x) / step; NaN gives 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const QuantParams p : {QuantParams{0.125f, 8}, QuantParams{0.5f, 4}}) {
+    const float qmax = static_cast<float>(p.qmax());
+    std::vector<float> scaled{inf, 1e20f, 5e9f, 3e9f, qmax + 0.5f, qmax - 0.5f, 0.5f, 1.5f, 2.5f};
+    std::vector<float> xs;
+    for (const float v : scaled) {
+      xs.push_back(v * p.step);
+      xs.push_back(-v * p.step);
+    }
+    xs.push_back(std::numeric_limits<float>::quiet_NaN());
+    const int64_t n = static_cast<int64_t>(xs.size());
+    const Tensor x(Shape{n}, xs);
+    const Tensor fq = fake_quantize(x, p);
+    const TensorI32 q32 = quantize(x, p);
+    std::vector<int8_t> q8(xs.size());
+    quantize_into(xs.data(), n, p, q8.data());
+    for (int64_t i = 0; i < n; ++i) {
+      SCOPED_TRACE("bits " + std::to_string(p.bits) + " x " + std::to_string(xs[i]));
+      if (std::isnan(xs[i])) {
+        EXPECT_EQ(q32[i], 0);
+        EXPECT_EQ(q8[i], 0);
+        continue;
+      }
+      const float want = fq[i] / p.step;
+      EXPECT_EQ(static_cast<float>(q32[i]), want);
+      EXPECT_EQ(static_cast<float>(q8[i]), want);
+    }
+    // Spot checks of the documented semantics: saturation and ties to even.
+    EXPECT_EQ(q32[0], p.qmax());   // +inf
+    EXPECT_EQ(q32[1], p.qmin());   // -inf
+    EXPECT_EQ(q32[4], p.qmax());   // +5e9
+    EXPECT_EQ(q32[7], p.qmin());   // -3e9
+    EXPECT_EQ(q32[12], 0);         // +0.5 step ties to even
+    EXPECT_EQ(q32[16], 2);         // +2.5 step ties to even
+  }
+}
+
+TEST(Quantize, VectorPathsMatchScalarBitForBit) {
+  // Long enough to run the AVX2 (32-wide), SSE2 (16/4-wide) and scalar tail
+  // loops; special values are interleaved with random ones at every offset.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN(), 1e20f, -1e20f,
+                            5e9f, -5e9f, 3e9f, -3e9f, 0.0f, -0.0f};
+  Rng rng(5);
+  const Tensor noise = randn(Shape{32 * 5 + 16 + 4 + 3}, rng, 0.0f, 40.0f);
+  std::vector<float> xs(noise.data(), noise.data() + noise.numel());
+  for (size_t i = 0; i < xs.size(); i += 7) xs[i] = specials[(i / 7) % std::size(specials)];
+  const int64_t n = static_cast<int64_t>(xs.size());
+  for (const QuantParams p : {QuantParams{0.25f, 8}, QuantParams{1.0f, 4}, QuantParams{0.5f, 2}}) {
+    std::vector<int8_t> v8(xs.size()), s8(xs.size());
+    std::vector<int32_t> v32(xs.size()), s32(xs.size());
+    for (int64_t off : {int64_t{0}, int64_t{1}, int64_t{3}}) {
+      quantize_into(xs.data() + off, n - off, p, v8.data());
+      detail::quantize_scalar(xs.data() + off, n - off, p, s8.data());
+      quantize_into(xs.data() + off, n - off, p, v32.data());
+      detail::quantize_scalar(xs.data() + off, n - off, p, s32.data());
+      for (int64_t i = 0; i < n - off; ++i) {
+        ASSERT_EQ(v8[i], s8[i]) << "int8 bits " << p.bits << " offset " << off << " i " << i;
+        ASSERT_EQ(v32[i], s32[i]) << "int32 bits " << p.bits << " offset " << off << " i " << i;
+        ASSERT_EQ(v8[i], v32[i]) << "bits " << p.bits << " offset " << off << " i " << i;
+      }
+    }
+  }
 }
 
 TEST(FakeQuantize, MatchesQuantizeDequantize) {
