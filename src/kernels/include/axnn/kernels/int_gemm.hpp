@@ -7,10 +7,10 @@
 // otherwise); `accumulate` is honoured.
 //
 // The kBlocked path runs through a prepared GemmPlan (axnn/kernels/plan.hpp)
-// acquired from the global PlanCache: the plan owns the re-laid-out LUT
-// (per-weight-nibble slices for the scalar kernel, a transposed
-// 64-byte-per-activation layout for the vector kernels) and the tile
-// geometry, so per-call work is just operand packing into pooled scratch.
+// acquired from the global PlanCache: the plan owns its kernel tier, the
+// table re-laid-out for that tier (closed-form nibble tables for truncated
+// multipliers, otherwise LUT lines or slices) and the tile geometry, so
+// per-call work is just operand packing into pooled scratch.
 // Integer addition is exact and order-free, so every backend/ISA combination
 // is bit-identical to the naive reference.
 #pragma once

@@ -2,10 +2,10 @@
 //
 // A GemmPlan is everything about executing one GEMM configuration that does
 // not depend on the operand *values*: tile geometry, the micro-kernel chosen
-// for the active ISA, scratch sizes, and (for the approximate path) the
-// re-laid-out LUT sub-tables. Executing a plan packs operands into pooled
-// scratch and runs the micro-kernels — no per-call derivation, no heap
-// allocation in steady state.
+// for the active ISA, shape and multiplier (IntKernel), scratch sizes, and
+// (for the approximate path) the kernel's re-laid-out view of the table.
+// Executing a plan packs operands into pooled scratch and runs the
+// micro-kernels — no per-call derivation, no heap allocation in steady state.
 //
 // Plans are immutable once built and shared by handle
 // (shared_ptr<const GemmPlan>), so lanes, sessions and threads can execute
@@ -73,10 +73,21 @@ PlanKey make_int_key(OpKind op, const GemmDesc& desc, int64_t m, int64_t k, int6
                      Backend backend, const approx::SignedMulTable* tab,
                      int weight_bits = 4, int activation_bits = 8);
 
+/// Micro-kernel an int plan runs, chosen once at prepare time (DESIGN.md §5b).
+/// Approximate plans take the closed form when the table verifies, entry by
+/// entry, as a truncated partial-product array, and the LUT otherwise.
+enum class IntKernel : uint8_t {
+  kNone,    ///< f32 plan
+  kRows,    ///< scalar, row-partitioned: LUT nibble slices (approx) / int8 products
+  kExact,   ///< exact int8 products, vector column strips
+  kLut,     ///< approx, vector column strips over the LUT's activation lines
+  kMasked,  ///< approx, closed form Σ_j w_j·((|a| & mask_j) << j) (AVX2)
+};
+
 class GemmPlan {
 public:
   struct Tile {
-    int64_t mr = 0, nr = 0;  ///< register tile (float) / row group (int)
+    int64_t mr = 0, nr = 0;  ///< register tile (float) / row group × column strip (int)
     int64_t mc = 0, kc = 0, nc = 0;  ///< cache block sizes
     int64_t kf = 0;  ///< fused k-steps per pass (vector int kernels)
   };
@@ -89,6 +100,11 @@ public:
   const Tile& tile() const { return tile_; }
   /// ISA the bound micro-kernels actually use (== key().isa).
   Isa isa() const { return key_.isa; }
+  /// Micro-kernel tier selected at prepare time, and its short name as
+  /// `axnn_cli inspect` prints it: "masked", "lut", "lut-rows", "exact",
+  /// "exact-rows" or "-" (f32).
+  IntKernel kernel() const { return kernel_; }
+  const char* kernel_name() const;
 
   /// Execute the plan. Operand pointers follow the conventions of
   /// kernels::gemm / gemm_approx / gemm_exact for the plan's op kind; dims
@@ -110,13 +126,14 @@ private:
 
   PlanKey key_;
   Tile tile_;
-  /// Approx plans: LUT re-laid-out twice. `slices_` = 16 per-nibble slices of
-  /// 256 (scalar kernel); `lines_` = 256 activation lines of 16 (vector
-  /// kernels, one 64-byte cache line per activation byte). Nibble 0 is
-  /// forced to zero in both so the zero-weight skip of the naive kernel is
+  IntKernel kernel_ = IntKernel::kNone;
+  /// The approx tier's view of the table (64-byte aligned). kMasked: int8
+  /// low- and high-activation-nibble product tables per weight nibble.
+  /// kRows: int32, 16 per-nibble slices of 256. kLut: int32, 256 activation
+  /// lines of 16 (one 64-byte cache line per activation byte). Nibble 0 is
+  /// zero in every layout so the zero-weight skip of the naive kernel is
   /// reproduced bit-for-bit.
-  int32_t* slices_ = nullptr;
-  int32_t* lines_ = nullptr;
+  void* tables_ = nullptr;
 };
 
 using PlanHandle = std::shared_ptr<const GemmPlan>;
@@ -180,9 +197,9 @@ public:
                                     const approx::SignedMulTable* tab = nullptr);
   void clear();
 
-  /// Keys currently memoized at this site, most-recently-filled last —
+  /// Plans currently memoized at this site, most-recently-filled last —
   /// `axnn_cli inspect` walks these to print each leaf's resolved plans.
-  std::vector<PlanKey> keys() const;
+  std::vector<PlanHandle> plans() const;
 
 private:
   static constexpr size_t kSlots = 8;

@@ -234,7 +234,9 @@ Backend default_backend() { return default_backend_slot().load(); }
 
 void set_default_backend(Backend b) { default_backend_slot().store(b); }
 
-Backend auto_backend(int64_t m, int64_t k, int64_t n) {
+Backend auto_backend(int64_t /*m*/, int64_t /*k*/, int64_t /*n*/) { return default_backend(); }
+
+Backend auto_backend_f32(int64_t m, int64_t k, int64_t n) {
   if (default_backend() == Backend::kNaive) return Backend::kNaive;
   // Cutover tuned so packing + per-call panel buffers stay under a few
   // percent of the MAC count: need enough rows to fill register tiles and

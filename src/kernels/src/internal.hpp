@@ -29,11 +29,14 @@ void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,
 // probes share these constants.
 constexpr int64_t kStrip = 16;
 constexpr int64_t kFuse = 8;
+// The closed-form (masked) kernel loads 32 activation bytes per k-step, so
+// its plans stripe columns 32 at a time.
+constexpr int64_t kMaskedStrip = 32;
 
 // ~32k MACs per parallel task (mirrors row_grain, but for column-strip
 // partitioned kernels).
-inline int64_t strip_grain(int64_t m, int64_t k) {
-  const int64_t macs_per_strip = m * k * kStrip;
+inline int64_t strip_grain(int64_t m, int64_t k, int64_t strip) {
+  const int64_t macs_per_strip = m * k * strip;
   if (macs_per_strip <= 0) return 1;
   const int64_t g = (int64_t{1} << 15) / macs_per_strip;
   return g < 1 ? 1 : g;
@@ -51,10 +54,16 @@ void blocked_exact_scalar(const int8_t* w, const int8_t* x, int32_t* c, int64_t 
 // Vectorized kernels: compute output columns [j0, j1) for every row. The
 // weight operand arrives packed (GemmPlan::pack_weights layout: column-major
 // in kFuse groups); `lines` is the transposed LUT (256 activation lines of
-// 16 nibble products, 64-byte aligned, nibble-0 column zeroed). Bit-identical
-// to the naive reference: same int32 product set per output element.
+// 16 nibble products, 64-byte aligned, nibble-0 column zeroed); `tables` are
+// the closed-form kernel's per-weight-nibble product tables (16 × 32 bytes
+// for the low activation nibble, then 16 × 32 for the high one, each row
+// duplicated for both 128-bit lanes, 32-byte aligned, nibble-0 rows zero).
+// Bit-identical to the naive reference: same int32 product set per output
+// element.
 #if defined(AXNN_HAVE_AVX2_TU)
-bool avx2_runtime_ok();
+void avx2_masked_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
+                      int64_t k, int64_t n, const int8_t* tables, bool accumulate,
+                      int64_t j0, int64_t j1);
 void avx2_approx_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                       int64_t k, int64_t n, const int32_t* lines, bool accumulate,
                       int64_t j0, int64_t j1);

@@ -102,7 +102,8 @@ private:
   std::optional<Tensor> calib_cols_;    ///< cached cols for MinPropQE
   std::optional<Tensor> calib_out_fp_;  ///< cached FP out_mat for MinPropQE
 
-  // Forward caches for backward.
+  // Forward caches for backward (none after a calibration forward).
+  bool calib_forward_ = false;
   ConvGeom geom_{};
   Tensor cached_cols_;     ///< effective (possibly fake-quantized) cols [K, P]
   Tensor cached_w_mat_;    ///< effective weight matrix [O, K/groups-block]

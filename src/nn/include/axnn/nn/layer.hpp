@@ -84,7 +84,7 @@ public:
   virtual int64_t last_mac_count() const { return 0; }
 
   /// The per-leaf plan memo (GEMM leaves only; nullptr elsewhere). After a
-  /// forward, its keys() name the prepared plans this leaf executes —
+  /// forward, its plans() are the prepared plans this leaf executes —
   /// `axnn_cli inspect` prints them.
   virtual const kernels::PlanMemo* plan_memo() const { return nullptr; }
 

@@ -67,6 +67,7 @@ private:
   std::optional<Tensor> calib_x_;
   std::optional<Tensor> calib_out_fp_;
 
+  bool calib_forward_ = false;  ///< last forward was kCalibrate: no caches below
   Tensor cached_x_;        ///< effective input [N, F]
   Tensor cached_w_;        ///< effective weights [O, F]
   Tensor cached_act_mask_;

@@ -100,7 +100,7 @@ Tensor Conv2d::run_gemm_float(const float* w_mat, const Tensor& cols) const {
   Tensor out(Shape{o, p});
   for (int64_t g = 0; g < grp; ++g)
     kernels::gemm({}, w_mat + g * og * kg, cols.data() + g * kg * p, out.data() + g * og * p,
-                  og, kg, p, kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
+                  og, kg, p, kernels::auto_backend_f32(og, kg, p), nullptr, &plan_memo_);
   return out;
 }
 
@@ -143,10 +143,14 @@ Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
   Tensor y = run(x, ctx, obs_path_, &keep);
   geom_ = keep.geom;
   last_macs_ = macs_per_sample(geom_.h, geom_.w) * geom_.n;
-  if (ctx.mode == ExecMode::kCalibrate) {
+  calib_forward_ = ctx.mode == ExecMode::kCalibrate;
+  if (calib_forward_) {
+    // MinPropQE needs the cols and the FP output; backward needs nothing from
+    // a calibration pass, so it keeps no caches (one copy of the cols, not two).
     act_obs_.observe(x);
-    calib_cols_ = keep.cols;
+    calib_cols_ = std::move(keep.cols);
     calib_out_fp_ = std::move(keep.calib_out);
+    keep = Caches{};
   }
   cached_cols_ = std::move(keep.cols);
   cached_w_mat_ = std::move(keep.w_mat);
@@ -275,6 +279,8 @@ Tensor Conv2d::run(const Tensor& x, const ExecContext& ctx, const std::string& o
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {
+  if (calib_forward_)
+    throw std::logic_error(name() + ": backward after a calibration forward (no caches kept)");
   if (dy.shape() != Shape{geom_.n, cfg_.out_channels, geom_.oh, geom_.ow})
     throw std::invalid_argument("Conv2d::backward: dy shape mismatch");
   const int64_t o = cfg_.out_channels, grp = cfg_.groups;
@@ -310,7 +316,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
   for (int64_t g = 0; g < grp; ++g)
     kernels::gemm({.trans_b = true}, dyw->data() + g * og * p,
                   cached_cols_.data() + g * kg * p, dw_mat.data() + g * og * kg, og, p, kg,
-                  kernels::auto_backend(og, p, kg), nullptr, &plan_memo_);
+                  kernels::auto_backend_f32(og, p, kg), nullptr, &plan_memo_);
   ops::add_inplace(weight_.grad, dw_mat.reshaped(weight_.grad.shape()));
 
   Tensor dcols(Shape{grp * kg, p}, 0.0f);
@@ -318,7 +324,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
     kernels::gemm({.trans_a = true, .accumulate = true},
                   cached_w_mat_.data() + g * og * kg, dy_mat.data() + g * og * p,
                   dcols.data() + g * kg * p, kg, og, p,
-                  kernels::auto_backend(kg, og, p), nullptr, &plan_memo_);
+                  kernels::auto_backend_f32(kg, og, p), nullptr, &plan_memo_);
   Tensor dx = col2im(dcols, geom_);
 
   // Clipped STE on activations: gradients are blocked where the input

@@ -53,7 +53,7 @@ Tensor linear_forward_float(const Tensor& x, const Tensor& w, const Tensor* bias
   const int64_t n = x.shape()[0], f = x.shape()[1], o = w.shape()[0];
   Tensor y(Shape{n, o});
   kernels::gemm({.trans_b = true}, x.data(), w.data(), y.data(), n, f, o,
-                kernels::auto_backend(n, f, o), nullptr, memo);
+                kernels::auto_backend_f32(n, f, o), nullptr, memo);
   if (bias != nullptr)
     for (int64_t i = 0; i < n; ++i)
       for (int64_t j = 0; j < o; ++j) y(i, j) += (*bias)[j];
@@ -76,10 +76,13 @@ Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
   Caches keep;
   Tensor y = run(x, ctx, obs_path_, &keep);
   last_macs_ = x.shape()[0] * in_ * out_;
-  if (ctx.mode == ExecMode::kCalibrate) {
+  calib_forward_ = ctx.mode == ExecMode::kCalibrate;
+  if (calib_forward_) {
+    // See Conv2d::forward: a calibration pass keeps no backward caches.
     act_obs_.observe(x);
-    calib_x_ = x;
+    calib_x_ = std::move(keep.x);
     calib_out_fp_ = linear_forward_float(x, weight_.value, nullptr, &plan_memo_);
+    keep = Caches{};
   }
   cached_x_ = std::move(keep.x);
   cached_w_ = std::move(keep.w);
@@ -200,6 +203,8 @@ Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& o
 }
 
 Tensor Linear::backward(const Tensor& dy) {
+  if (calib_forward_)
+    throw std::logic_error(name() + ": backward after a calibration forward (no caches kept)");
   const int64_t n = cached_x_.shape()[0];
   if (dy.shape() != Shape{n, out_})
     throw std::invalid_argument("Linear::backward: dy shape mismatch");
@@ -225,12 +230,12 @@ Tensor Linear::backward(const Tensor& dy) {
   // dW[O,F] += dyᵀ · x
   kernels::gemm({.trans_a = true, .accumulate = true}, dyw->data(), cached_x_.data(),
                 weight_.grad.data(), out_, n, in_,
-                kernels::auto_backend(out_, n, in_), nullptr, &plan_memo_);
+                kernels::auto_backend_f32(out_, n, in_), nullptr, &plan_memo_);
 
   // dx[N,F] = dy · W
   Tensor dx(Shape{n, in_});
   kernels::gemm({}, dy.data(), cached_w_.data(), dx.data(), n, out_, in_,
-                kernels::auto_backend(n, out_, in_), nullptr, &plan_memo_);
+                kernels::auto_backend_f32(n, out_, in_), nullptr, &plan_memo_);
   if (!cached_act_mask_.empty())
     for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
   return dx;

@@ -3,7 +3,6 @@
 // unusable cache as a cache miss.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -20,23 +19,14 @@
 #include "axnn/nn/serialize.hpp"
 #include "axnn/resilience/checkpoint.hpp"
 #include "axnn/tensor/rng.hpp"
+#include "temp_path.hpp"
 
 namespace axnn::nn {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// A temp path unique to this process and test: `ctest -j` runs every test
-/// in its own process, so fixed names would let one test delete or rename
-/// another's files.
-std::string unique_temp_path(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = stem + "_" + std::to_string(::getpid()) + "_" + info->test_suite_name() +
-                     "." + info->name();
-  for (char& c : name)
-    if (c == '/') c = '_';
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using axnn::test_util::unique_temp_path;
 
 
 std::unique_ptr<Sequential> tiny_net(uint64_t seed = 5) {

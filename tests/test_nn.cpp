@@ -2,7 +2,6 @@
 // activations, pooling, containers, SGD, serialization.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -20,21 +19,12 @@
 #include "axnn/nn/serialize.hpp"
 #include "axnn/nn/sgd.hpp"
 #include "axnn/tensor/ops.hpp"
+#include "temp_path.hpp"
 
 namespace axnn::nn {
 namespace {
 
-/// A temp path unique to this process and test: `ctest -j` runs every test
-/// in its own process, so fixed names would let one test delete or rename
-/// another's files.
-std::string unique_temp_path(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = stem + "_" + std::to_string(::getpid()) + "_" + info->test_suite_name() +
-                     "." + info->name();
-  for (char& c : name)
-    if (c == '/') c = '_';
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using axnn::test_util::unique_temp_path;
 
 const ExecContext kFp = ExecContext::fp();
 const ExecContext kFpTrain = ExecContext::fp(/*training=*/true);

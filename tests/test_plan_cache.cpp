@@ -118,9 +118,9 @@ TEST(PlanCacheTest, SharesOnePlanAcrossCallSites) {
   EXPECT_EQ(st.hits, 5);
   EXPECT_EQ(st.misses, 0);
 
-  const std::vector<PlanKey> memoized = lane_a.keys();
+  const std::vector<PlanHandle> memoized = lane_a.plans();
   ASSERT_EQ(memoized.size(), 1u);
-  EXPECT_TRUE(memoized[0] == key);
+  EXPECT_TRUE(memoized[0]->key() == key);
 }
 
 TEST(PlanCacheTest, LruEvictionAtCapacity) {

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "axnn/axnn.hpp"
+#include "temp_path.hpp"
 
 namespace axnn::qos {
 namespace {
@@ -322,8 +322,7 @@ ModelSpec qos_micro_spec() {
   spec.profile.ft_batch = 40;
   spec.profile.quant_epochs = 1;
   spec.profile.decay_every = 2;
-  spec.profile.cache_dir =
-      (std::filesystem::temp_directory_path() / "axnn_qos_cache").string();
+  spec.profile.cache_dir = axnn::test_util::unique_temp_path("axnn_qos_cache");
   spec.use_cache = false;
   spec.finetune = false;
   spec.qos_points = kLadder;

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <stdexcept>
+#include <string>
 
 #include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
@@ -160,6 +163,38 @@ TEST(QuantExactPath, PowerOfTwoStepsEverywhere) {
     const float l = std::log2f(step);
     EXPECT_FLOAT_EQ(l, std::round(l));
   }
+}
+
+TEST(CalibrationPass, KeepsNoBackwardCaches) {
+  // A calibration forward keeps what MinPropQE needs and nothing for
+  // backward: a backward right after it must fail loudly, naming the layer,
+  // and a training forward must make backward work again.
+  Rng rng(121);
+  Conv2d conv({2, 3, 3, 1, 1, 1, true}, rng);
+  Linear lin(6, 4, rng);
+  const Tensor x = randn(Shape{2, 2, 5, 5}, rng, 0.0f, 0.5f);
+  const Tensor xl = randn(Shape{3, 6}, rng, 0.0f, 0.5f);
+  const Tensor y = conv.forward(x, ExecContext::calibrate());
+  const Tensor yl = lin.forward(xl, ExecContext::calibrate());
+  for (auto* layer : std::initializer_list<Layer*>{&conv, &lin}) {
+    const Tensor& out = layer == &conv ? y : yl;
+    try {
+      (void)layer->backward(Tensor(out.shape(), 1.0f));
+      ADD_FAILURE() << layer->name() << ": backward after calibration did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(layer->name()), std::string::npos) << e.what();
+    }
+  }
+  // The calibration data survived for finalize_calibration (MinPropQE).
+  conv.finalize_calibration(quant::Calibration::kMinPropQE);
+  lin.finalize_calibration(quant::Calibration::kMinPropQE);
+  EXPECT_TRUE(conv.calibrated());
+
+  const Tensor y2 = conv.forward(x, ExecContext{});
+  const Tensor dx = conv.backward(Tensor(y2.shape(), 1.0f));
+  EXPECT_EQ(dx.shape(), x.shape());
+  const Tensor yl2 = lin.forward(xl, ExecContext{});
+  EXPECT_EQ(lin.backward(Tensor(yl2.shape(), 1.0f)).shape(), xl.shape());
 }
 
 }  // namespace

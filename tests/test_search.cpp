@@ -4,10 +4,10 @@
 // a micro Workbench (one stage-1 training shared by the whole suite).
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <stdexcept>
 
 #include "axnn/axnn.hpp"
+#include "temp_path.hpp"
 
 namespace axnn {
 namespace {
@@ -160,8 +160,7 @@ core::WorkbenchConfig micro_config() {
   cfg.profile.ft_batch = 40;
   cfg.profile.quant_epochs = 1;
   cfg.profile.decay_every = 2;
-  cfg.profile.cache_dir =
-      (std::filesystem::temp_directory_path() / "axnn_search_cache").string();
+  cfg.profile.cache_dir = axnn::test_util::unique_temp_path("axnn_search_cache");
   cfg.use_cache = false;
   return cfg;
 }

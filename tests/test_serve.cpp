@@ -7,12 +7,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
 #include <new>
 #include <thread>
 #include <vector>
 
 #include "axnn/axnn.hpp"
+#include "temp_path.hpp"
 
 // --- Global allocation counter -------------------------------------------
 // Counts operator-new calls made by the *calling thread* while armed, so the
@@ -54,8 +54,7 @@ ModelSpec micro_spec() {
   spec.profile.ft_batch = 40;
   spec.profile.quant_epochs = 1;
   spec.profile.decay_every = 2;
-  spec.profile.cache_dir =
-      (std::filesystem::temp_directory_path() / "axnn_serve_cache").string();
+  spec.profile.cache_dir = axnn::test_util::unique_temp_path("axnn_serve_cache");
   spec.use_cache = false;
   spec.plan = kApproxPlan;
   spec.finetune = false;

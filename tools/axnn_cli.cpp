@@ -641,22 +641,28 @@ int cmd_inspect(const CliOptions& opt, obs::RunReport* report) {
   std::printf("GE fit: %s\n", fit.to_string().c_str());
   std::printf("network energy: %.0f -> %.0f units (%.0f%% savings)\n", energy.exact_energy,
               energy.approx_energy, energy.savings_pct);
-  // One warm-up forward (float path, batch of 1) so every GEMM leaf resolves
-  // its prepared plans into its per-leaf memo; the keys printed below are
-  // exactly what the serving engine pre-warms at load.
+  // Warm-up on a calibrated copy (the plans do not depend on the quantization
+  // steps, so 8 calibration samples do): one approximate inference at batch 1
+  // makes every GEMM leaf memoize the prepared plans it serves with, each
+  // with the kernel tier (kern=) chosen for this multiplier.
+  std::unique_ptr<nn::Sequential> probe = wb.clone();
+  train::calibrate_model(*probe, wb.data().train, 8, 8, wb.config().calibration);
   {
+    const approx::SignedMulTable tab(axmul::make_lut(opt.multiplier));
     auto [images, labels] = wb.data().test.slice(0, 1);
     (void)labels;
-    (void)wb.model().forward(images, nn::ExecContext{});
+    (void)probe->infer(images, nn::ExecContext::quant_approx(tab));
   }
   std::printf("plan-addressable layers (use these paths with --plan):\n");
   core::Table leaves({"path", "kind", "dot_length", "plan"});
-  for (const auto& leaf : nn::enumerate_gemm_leaves(wb.model())) {
+  for (const auto& leaf : nn::enumerate_gemm_leaves(*probe)) {
     std::string plans;
     if (const kernels::PlanMemo* memo = leaf.layer->plan_memo()) {
-      for (const auto& key : memo->keys()) {
+      for (const kernels::PlanHandle& plan : memo->plans()) {
         if (!plans.empty()) plans += ", ";
-        plans += key.to_string();
+        plans += plan->key().to_string();
+        if (plan->kernel() != kernels::IntKernel::kNone)
+          plans += std::string(" kern=") + plan->kernel_name();
       }
     }
     if (plans.empty()) plans = "-";
