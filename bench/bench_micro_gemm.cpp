@@ -4,7 +4,8 @@
 // (0 = naive golden reference, 1 = cache-blocked) so `--benchmark_filter`
 // can compare them directly; the ResNet20 conv shape M=64, K=576, N=1024 is
 // the acceptance shape for the blocked kernels, and the *Served cases run
-// the shapes a batch-8 served model executes under both approximate tiers.
+// the shapes a batch-8 served model executes: its GEMMs under both
+// approximate tiers and its int8 im2col lowerings.
 //
 // The *Telemetry variants run the same GEMMs with an obs::Collector
 // attached — their delta against the base benches is the telemetry
@@ -236,6 +237,40 @@ void BM_Im2col(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.patch_rows() * g.out_cols());
 }
 BENCHMARK(BM_Im2col)->Arg(8)->Arg(16);
+
+// The int8 lowering of every conv a batch-8 fast-profile ResNet20 serves
+// (stem c3 16²; stage 1 c4 16²; stage 2 c4 16² s2 and its 1×1 s2 shortcut,
+// then c8 8²; stage 3 c8 8² s2 and its shortcut, then c16 4²) and of
+// MobileNetV2's depthwise convs (c8–c96, 16²/8²/4², s1/s2). The s1 cases
+// run the shifted-plane row builder, the s2 cases the per-row gather.
+void BM_Im2colServed(benchmark::State& state) {
+  const int64_t c = state.range(0), hw = state.range(1), k = state.range(2);
+  Rng rng(5);
+  const TensorI8 x = random_i8(Shape{8, c, hw, hw}, rng, -128, 127);
+  const nn::ConvGeom g = nn::ConvGeom::of(x.shape(), k, state.range(3), k / 2);
+  for (auto _ : state) {
+    TensorI8 cols = nn::im2col_i8(x, g);
+    benchmark::DoNotOptimize(cols.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.patch_rows() * g.out_cols());
+}
+BENCHMARK(BM_Im2colServed)
+    ->Args({3, 16, 3, 1})
+    ->Args({4, 16, 3, 1})
+    ->Args({4, 16, 3, 2})
+    ->Args({4, 16, 1, 2})
+    ->Args({8, 8, 3, 1})
+    ->Args({8, 8, 3, 2})
+    ->Args({8, 8, 1, 2})
+    ->Args({16, 4, 3, 1})
+    ->Args({8, 16, 3, 1})
+    ->Args({24, 16, 3, 1})
+    ->Args({36, 16, 3, 1})
+    ->Args({36, 16, 3, 2})
+    ->Args({48, 8, 3, 1})
+    ->Args({48, 8, 3, 2})
+    ->Args({96, 4, 3, 1})
+    ->ArgNames({"c", "hw", "k", "s"});
 
 void BM_FakeQuantize(benchmark::State& state) {
   const int64_t n = state.range(0);

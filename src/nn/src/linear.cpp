@@ -2,13 +2,12 @@
 
 #include <stdexcept>
 
-#include "axnn/approx/kernels.hpp"
+#include "axnn/kernels/gemm.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/nn/monitor.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/obs/telemetry.hpp"
-#include "axnn/tensor/gemm.hpp"
-#include "axnn/tensor/kernels.hpp"
 #include "axnn/tensor/ops.hpp"
 #include "obs_hooks.hpp"
 

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "axnn/approx/kernels.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/plan.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/linear.hpp"

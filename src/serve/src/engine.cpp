@@ -12,6 +12,7 @@
 #include "axnn/nn/monitor.hpp"
 #include "axnn/nn/serialize.hpp"
 #include "axnn/obs/telemetry.hpp"
+#include "axnn/tensor/buffer_pool.hpp"
 #include "axnn/train/evaluate.hpp"
 
 namespace axnn::serve {
@@ -355,6 +356,10 @@ std::unique_ptr<Engine> Engine::load(ModelSpec spec) {
   e->capture_golden(def);
   if (e->checkpoints_) (void)e->save_checkpoint();
 
+  // Training, calibration and evaluation batches are parked in the buffer
+  // pool now. Return them to the OS; the prewarm then pools exactly the
+  // serving working set.
+  buffer_pool_trim();
   if (spec.prewarm) e->prewarm_points(def.points_);
 
   const int cap = spec.batching.queue_capacity;

@@ -46,8 +46,9 @@ struct BufferPoolStats {
 BufferPoolStats buffer_pool_stats();
 /// Zero the hit/miss/returned counters (warm-up boundaries in tests/benches).
 void buffer_pool_reset_stats();
-/// Release every parked block back to the heap (memory-pressure hook;
-/// in-flight tensors are unaffected).
+/// Release every parked block back to the heap, and the heap's free pages
+/// to the OS where the C library allows it (glibc: malloc_trim). A
+/// memory-pressure hook; in-flight tensors are unaffected.
 void buffer_pool_trim();
 
 /// Minimal std::allocator replacement routing through the pool. Stateless:

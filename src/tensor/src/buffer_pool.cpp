@@ -5,6 +5,10 @@
 #include <mutex>
 #include <new>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace axnn {
 namespace {
 
@@ -135,6 +139,13 @@ void buffer_pool_reset_stats() {
   p.returned.store(0, std::memory_order_relaxed);
 }
 
-void buffer_pool_trim() { pool().trim(); }
+void buffer_pool_trim() {
+  pool().trim();
+#ifdef __GLIBC__
+  // glibc keeps freed small blocks in its arenas; hand the free pages back
+  // so the trimmed bytes leave the resident set, not just the freelists.
+  malloc_trim(0);
+#endif
+}
 
 }  // namespace axnn

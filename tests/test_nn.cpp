@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
@@ -73,32 +76,85 @@ BasicTensor<T> naive_im2col(const BasicTensor<T>& x, const ConvGeom& g) {
   return cols;
 }
 
+/// im2col and im2col_i8 against the naive reference, bit for bit. The
+/// int8 input spans the full range, -128 and 127 included.
+void expect_matches_naive(const Tensor& x, const ConvGeom& g) {
+  const Tensor want = naive_im2col(x, g);
+  const Tensor got = im2col(x, g);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (int64_t i = 0; i < want.numel(); ++i)
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << "index " << i << ": " << got[i] << " vs " << want[i];
+
+  TensorI8 xi(x.shape());
+  for (int64_t i = 0; i < x.numel(); ++i)
+    xi[i] = static_cast<int8_t>((i * 37 + static_cast<int64_t>(x[i] * 40.0f)) % 256 - 128);
+  xi[0] = -128;
+  xi[x.numel() - 1] = 127;
+  const TensorI8 want8 = naive_im2col(xi, g);
+  const TensorI8 got8 = im2col_i8(xi, g);
+  ASSERT_EQ(got8.shape(), want8.shape());
+  for (int64_t i = 0; i < want8.numel(); ++i)
+    ASSERT_EQ(got8[i], want8[i]) << "int8 index " << i;
+}
+
+std::string geom_name(const ConvGeom& g) {
+  return "n " + std::to_string(g.n) + " c " + std::to_string(g.c) + " h " +
+         std::to_string(g.h) + " w " + std::to_string(g.w) + " k " + std::to_string(g.kernel) +
+         " s " + std::to_string(g.stride) + " p " + std::to_string(g.padding);
+}
+
 TEST(Im2col, MatchesNaiveReference) {
   Rng rng(21);
-  const int64_t dims[][2] = {{5, 7}, {6, 4}, {7, 6}, {4, 4}};
+  // Small odd and even planes, a 1×1 image, and padding 2 (not "same").
+  const int64_t dims[][2] = {{5, 7}, {6, 4}, {7, 6}, {4, 4}, {1, 1}};
   for (const auto& hw : dims)
     for (const int64_t k : {1, 3})
       for (const int64_t stride : {1, 2})
-        for (const int64_t pad : {0, 1}) {
+        for (const int64_t pad : {0, 1, 2}) {
+          if (hw[0] + 2 * pad < k || hw[1] + 2 * pad < k) continue;
           const Tensor x = randn(Shape{2, 3, hw[0], hw[1]}, rng);
           const ConvGeom g = ConvGeom::of(x.shape(), k, stride, pad);
-          SCOPED_TRACE("h " + std::to_string(hw[0]) + " w " + std::to_string(hw[1]) + " k " +
-                       std::to_string(k) + " s " + std::to_string(stride) + " p " +
-                       std::to_string(pad));
-          const Tensor want = naive_im2col(x, g);
-          const Tensor got = im2col(x, g);
-          ASSERT_EQ(got.shape(), want.shape());
-          for (int64_t i = 0; i < want.numel(); ++i) ASSERT_EQ(got[i], want[i]) << "index " << i;
-
-          TensorI8 xi(x.shape());
-          for (int64_t i = 0; i < x.numel(); ++i)
-            xi[i] = static_cast<int8_t>(static_cast<int64_t>(x[i] * 40.0f) % 128);
-          const TensorI8 want8 = naive_im2col(xi, g);
-          const TensorI8 got8 = im2col_i8(xi, g);
-          ASSERT_EQ(got8.shape(), want8.shape());
-          for (int64_t i = 0; i < want8.numel(); ++i)
-            ASSERT_EQ(got8[i], want8[i]) << "int8 index " << i;
+          SCOPED_TRACE(geom_name(g));
+          expect_matches_naive(x, g);
         }
+
+  // Every conv geometry a batch-8 fast-profile ResNet20 serves (each channel
+  // count at each plane), then the MobileNetV2 depthwise convs.
+  struct Leaf {
+    int64_t k, stride, pad;
+  };
+  const Leaf leaves[] = {{3, 1, 1}, {3, 2, 1}, {1, 1, 0}, {1, 2, 0}};
+  for (const int64_t c : {3, 4, 8, 16})
+    for (const int64_t hw : {16, 8, 4})
+      for (const Leaf& l : leaves) {
+        const Tensor x = randn(Shape{8, c, hw, hw}, rng);
+        const ConvGeom g = ConvGeom::of(x.shape(), l.k, l.stride, l.pad);
+        SCOPED_TRACE(geom_name(g));
+        expect_matches_naive(x, g);
+      }
+  const int64_t depthwise[][3] = {{8, 16, 1},  {24, 16, 1}, {36, 16, 1}, {36, 16, 2},
+                                  {48, 8, 1},  {48, 8, 2},  {96, 4, 1}};
+  for (const auto& d : depthwise) {
+    const Tensor x = randn(Shape{8, d[0], d[1], d[1]}, rng);
+    const ConvGeom g = ConvGeom::of(x.shape(), 3, d[2], 1);
+    SCOPED_TRACE(geom_name(g));
+    expect_matches_naive(x, g);
+  }
+
+  // All-negative input: every zero in the patch matrix is padding, and it
+  // must be +0.0f (a masked -1.0f must not leave its sign bit behind).
+  const Tensor neg(Shape{2, 3, 6, 6}, -1.0f);
+  for (const int64_t stride : {1, 2}) {
+    const Tensor cols = im2col(neg, ConvGeom::of(neg.shape(), 3, stride, 1));
+    int64_t zeros = 0;
+    for (int64_t i = 0; i < cols.numel(); ++i) {
+      if (cols[i] != 0.0f) continue;
+      ++zeros;
+      ASSERT_FALSE(std::signbit(cols[i])) << "stride " << stride << " index " << i;
+    }
+    EXPECT_GT(zeros, 0) << "stride " << stride;
+  }
 }
 
 TEST(Im2col, Col2imIsAdjoint) {

@@ -71,6 +71,7 @@ class ServeFixture : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
     engine_ = Engine::load(micro_spec()).release();
+    load_cached_bytes_ = buffer_pool_stats().cached_bytes;
     exact_ = &engine_->open_session("exact", kExactPlan);
   }
   static void TearDownTestSuite() {
@@ -81,10 +82,12 @@ protected:
 
   static Engine* engine_;
   static Session* exact_;  ///< tenant serving the exact-mode plan
+  static int64_t load_cached_bytes_;  ///< buffer pool's parked bytes after load
 };
 
 Engine* ServeFixture::engine_ = nullptr;
 Session* ServeFixture::exact_ = nullptr;
+int64_t ServeFixture::load_cached_bytes_ = 0;
 
 /// Reference logits: a direct single-sample forward of lane 0 under the
 /// session's own context. Only valid while no requests are in flight (lane
@@ -221,6 +224,12 @@ TEST_F(ServeFixture, BatchedForwardIsAllocationFreeAfterWarmup) {
   t_count_allocs = false;
   EXPECT_EQ(logits.shape()[0], kMaxBatch);
   EXPECT_EQ(t_alloc_count, 0) << "batched forward allocated on the steady state";
+}
+
+TEST_F(ServeFixture, LoadReleasesLoadTimeBuffers) {
+  // Training, calibration and evaluation batches are returned before the
+  // prewarm, so what the pool holds after load is the serving working set.
+  EXPECT_LT(load_cached_bytes_, int64_t{4} << 20);
 }
 
 TEST_F(ServeFixture, DoubleAwaitThrows) {
