@@ -20,16 +20,16 @@
 #include <string>
 #include <vector>
 
-#include "axnn/approx/kernels.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/ge/monte_carlo.hpp"
+#include "axnn/kernels/gemm.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
 #include "axnn/kernels/plan.hpp"
 #include "axnn/nn/im2col.hpp"
 #include "axnn/obs/report.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/quant/quantizer.hpp"
-#include "axnn/tensor/kernels.hpp"
 #include "axnn/tensor/rng.hpp"
 
 namespace {

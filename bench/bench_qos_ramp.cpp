@@ -242,10 +242,8 @@ AXNN_BENCH_CASE(qos_ramp, "QoS governor: degrade accuracy, not latency, under lo
   // response correct; the violation rate is the governor's health signal.
   engine->drain();
   std::vector<Tensor*> weights;
-  for (const auto& leaf : nn::enumerate_gemm_leaves(engine->model(0))) {
-    if (auto* c = dynamic_cast<nn::Conv2d*>(leaf.layer)) weights.push_back(&c->weight().value);
-    if (auto* l = dynamic_cast<nn::Linear*>(leaf.layer)) weights.push_back(&l->weight().value);
-  }
+  for (const auto& leaf : nn::enumerate_gemm_leaves(engine->model(0)))
+    weights.push_back(&leaf.layer->weight().value);
   std::vector<Tensor> golden;
   golden.reserve(weights.size());
   for (const Tensor* w : weights) golden.push_back(*w);

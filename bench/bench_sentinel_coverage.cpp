@@ -132,10 +132,8 @@ AXNN_BENCH_CASE(sentinel_coverage,
       sentinel::Sentinel ws;
       ws.calibrate_uniform(*copy, clean_tab, mult);
       std::vector<Tensor*> weights;
-      for (const auto& leaf : nn::enumerate_gemm_leaves(*copy)) {
-        if (auto* c = dynamic_cast<nn::Conv2d*>(leaf.layer)) weights.push_back(&c->weight().value);
-        if (auto* l = dynamic_cast<nn::Linear*>(leaf.layer)) weights.push_back(&l->weight().value);
-      }
+      for (const auto& leaf : nn::enumerate_gemm_leaves(*copy))
+        weights.push_back(&leaf.layer->weight().value);
       resilience::FaultSpec fs;
       fs.rate = rate;
       fs.bit_lo = 23;

@@ -4,12 +4,12 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <typeinfo>
 
 #include "axnn/axmul/registry.hpp"
 #include "axnn/models/mobilenetv2.hpp"
 #include "axnn/models/resnet.hpp"
-#include "axnn/nn/conv2d.hpp"
-#include "axnn/nn/linear.hpp"
+#include "axnn/nn/gemm_layer.hpp"
 #include "axnn/nn/serialize.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/train/evaluate.hpp"
@@ -27,14 +27,11 @@ std::string to_string(ModelKind kind) {
 }
 
 void copy_quant_state(nn::Layer& src, nn::Layer& dst) {
-  if (auto* cs = dynamic_cast<nn::Conv2d*>(&src)) {
-    auto* cd = dynamic_cast<nn::Conv2d*>(&dst);
-    if (cd == nullptr) throw std::invalid_argument("copy_quant_state: structure mismatch");
-    if (cs->calibrated()) cd->set_qparams(cs->weight_qparams(), cs->act_qparams());
-  } else if (auto* ls = dynamic_cast<nn::Linear*>(&src)) {
-    auto* ld = dynamic_cast<nn::Linear*>(&dst);
-    if (ld == nullptr) throw std::invalid_argument("copy_quant_state: structure mismatch");
-    if (ls->calibrated()) ld->set_qparams(ls->weight_qparams(), ls->act_qparams());
+  if (auto* gs = dynamic_cast<nn::GemmLayer*>(&src)) {
+    auto* gd = dynamic_cast<nn::GemmLayer*>(&dst);
+    if (gd == nullptr || typeid(*gs) != typeid(*gd))
+      throw std::invalid_argument("copy_quant_state: structure mismatch");
+    if (gs->calibrated()) gd->set_qparams(gs->weight_qparams(), gs->act_qparams());
   }
   const auto cs = src.children();
   const auto cd = dst.children();

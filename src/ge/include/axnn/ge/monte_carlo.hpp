@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/ge/error_fit.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 
 namespace axnn::ge {
 

@@ -19,8 +19,6 @@
 // standalone.
 #pragma once
 
-#include "axnn/approx/approx_gemm.hpp"
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/adder.hpp"
 #include "axnn/axmul/evoapprox_like.hpp"
 #include "axnn/axmul/multiplier.hpp"
@@ -52,6 +50,7 @@
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/batchnorm.hpp"
 #include "axnn/nn/conv2d.hpp"
+#include "axnn/nn/gemm_layer.hpp"
 #include "axnn/nn/layer.hpp"
 #include "axnn/nn/linear.hpp"
 #include "axnn/nn/loss.hpp"
@@ -82,7 +81,6 @@
 #include "axnn/serve/engine.hpp"
 #include "axnn/serve/loadgen.hpp"
 #include "axnn/serve/watchdog.hpp"
-#include "axnn/tensor/gemm.hpp"
 #include "axnn/tensor/ops.hpp"
 #include "axnn/tensor/rng.hpp"
 #include "axnn/tensor/shape.hpp"

@@ -1,24 +1,13 @@
-// axnn — 2-D convolution with quantized-exact and quantized-approximate
-// execution paths.
+// axnn — 2-D convolution: the GemmLayer that lowers through im2col.
 //
 // Forward lowers to GEMM via im2col: out[O, P] = W[O, K] · cols[K, P] per
-// group. In kQuantApprox mode the GEMM multiplies through an approximate-
-// multiplier table (Eq. 4); the backward pass uses the straight-through
-// estimator of the exact GEMM (Eq. 5), optionally refined by the
-// gradient-estimation scale (1 + K) on the weight gradient (Eq. 12).
-//
-// Per-layer heterogeneity (mixed multipliers, adders, mode overrides, GE
-// fits) comes from the execution plan: the forward resolves its effective
-// parameters through plan_leaf_exec (axnn/nn/plan.hpp), which returns the
-// plain context fields when no plan is attached.
+// group. The quantization, approximation and GE machinery is GemmLayer's
+// (axnn/nn/gemm_layer.hpp); this class owns the convolution layout — im2col,
+// col2im, the NCHW epilogues — and BatchNorm folding.
 #pragma once
 
-#include <optional>
-
-#include "axnn/kernels/plan.hpp"
+#include "axnn/nn/gemm_layer.hpp"
 #include "axnn/nn/im2col.hpp"
-#include "axnn/nn/layer.hpp"
-#include "axnn/quant/calibration.hpp"
 
 namespace axnn::nn {
 
@@ -33,41 +22,21 @@ struct Conv2dConfig {
   bool bias = true;
 };
 
-class Conv2d final : public Layer {
+class Conv2d final : public GemmLayer {
 public:
   Conv2d(Conv2dConfig cfg, Rng& rng);
 
   std::string name() const override;
-  Tensor forward(const Tensor& x, const ExecContext& ctx) override;
-  Tensor infer(const Tensor& x, const ExecContext& ctx) const override;
   Tensor backward(const Tensor& dy) override;
-  std::vector<Param*> params() override;
-  void finalize_calibration(quant::Calibration method) override;
-  int64_t last_mac_count() const override { return last_macs_; }
-  const kernels::PlanMemo* plan_memo() const override { return &plan_memo_; }
+  int64_t groups() const override { return cfg_.groups; }
+  int64_t dot_length() const override {
+    return cfg_.in_channels / cfg_.groups * cfg_.kernel * cfg_.kernel;
+  }
+  int64_t macs_for(const Shape& in) const override {
+    return in[0] * macs_per_sample(in[2], in[3]);
+  }
 
   const Conv2dConfig& config() const { return cfg_; }
-  Param& weight() { return weight_; }
-  Param& bias_param() { return bias_; }
-  bool has_bias() const { return cfg_.bias; }
-
-  bool calibrated() const { return calibrated_; }
-  const quant::QuantParams& weight_qparams() const { return wgt_qp_; }
-  const quant::QuantParams& act_qparams() const { return act_qp_; }
-  void set_qparams(const quant::QuantParams& wgt, const quant::QuantParams& act);
-
-  /// The activation range statistics gathered during kCalibrate passes
-  /// (sentinel range-guard calibration). Unseen on cloned models, whose
-  /// quantization state is copied without the observer reservoir.
-  const quant::RangeObserver& act_observer() const { return act_obs_; }
-
-  /// Override the quantization bit-widths before calibration (paper outlook:
-  /// "extended for lower bitwidth quantization"). The approximate path
-  /// requires weight_bits <= 4 (the LUT's 4-bit operand); quantized-exact
-  /// execution accepts any width in [2, 8].
-  void set_bit_widths(int weight_bits, int activation_bits);
-  int weight_bits() const { return wgt_bits_; }
-  int activation_bits() const { return act_bits_; }
 
   /// Per-output-channel affine fold (BatchNorm folding):
   /// W[o,...] *= scale[o]; b[o] = b[o]*scale[o] + shift[o].
@@ -78,46 +47,16 @@ public:
   int64_t macs_per_sample(int64_t h, int64_t w) const;
 
 private:
-  struct Caches;  // what forward keeps for backward (conv2d.cpp)
-
-  /// The computation forward and infer share. Writes nothing but the plan
-  /// memo; when `keep` is set it also fills the backward caches.
   Tensor run(const Tensor& x, const ExecContext& ctx, const std::string& obs_path,
-             Caches* keep) const;
-  Tensor run_gemm_float(const float* w_mat, const Tensor& cols) const;
+             Caches* keep) const override;
+  Tensor float_gemm(const float* w, const Tensor& cols) const override;
   Tensor output_from_mat(const Tensor& out_mat, const ConvGeom& g) const;
   Tensor output_from_acc(const TensorI32& acc, const ConvGeom& g) const;
+  ConvGeom geom_of(const Shape& x) const {
+    return ConvGeom::of(x, cfg_.kernel, cfg_.stride, cfg_.padding);
+  }
 
   Conv2dConfig cfg_;
-  Param weight_;  ///< [O, C/groups, k, k]
-  Param bias_;    ///< [O] (zero-sized if disabled)
-
-  // Quantization state.
-  int wgt_bits_ = quant::kWeightBits;
-  int act_bits_ = quant::kActivationBits;
-  quant::QuantParams wgt_qp_{1.0f, quant::kWeightBits};
-  quant::QuantParams act_qp_{1.0f, quant::kActivationBits};
-  bool calibrated_ = false;
-  quant::RangeObserver act_obs_;
-  std::optional<Tensor> calib_cols_;    ///< cached cols for MinPropQE
-  std::optional<Tensor> calib_out_fp_;  ///< cached FP out_mat for MinPropQE
-
-  // Forward caches for backward (none after a calibration forward).
-  bool calib_forward_ = false;
-  ConvGeom geom_{};
-  Tensor cached_cols_;     ///< effective (possibly fake-quantized) cols [K, P]
-  Tensor cached_w_mat_;    ///< effective weight matrix [O, K/groups-block]
-  Tensor cached_act_mask_; ///< STE clip mask in input layout (quant modes)
-  Tensor cached_acc_;      ///< integer accumulators [O, P] (GE only)
-  const ge::ErrorFit* cached_fit_ = nullptr;
-  int64_t last_macs_ = 0;
-  std::string obs_path_;  ///< telemetry path captured at forward (backward reuses it)
-
-  /// Per-leaf plan memo: the forward/infer/backward GEMMs of this layer
-  /// resolve their prepared plans here without touching the global cache's
-  /// mutex. mutable because infer is const; layers are single-threaded at a
-  /// time (the serving lanes each own a model replica).
-  mutable kernels::PlanMemo plan_memo_;
 };
 
 }  // namespace axnn::nn

@@ -11,9 +11,9 @@
 //                 an approximate-multiplier table (approximation stage).
 #pragma once
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/adder.hpp"
 #include "axnn/ge/error_fit.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/quant/calibration.hpp"
 #include "axnn/resilience/fault.hpp"
 

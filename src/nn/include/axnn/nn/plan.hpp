@@ -13,7 +13,7 @@
 //   PlanResolution — a NetPlan materialized against a concrete model:
 //                multiplier tables and adders built from the registry, GE
 //                fits fitted per layer shape (FitRegistry), and a
-//                leaf-pointer lookup used by Conv2d/Linear during forward.
+//                leaf-pointer lookup used by the GemmLayer leaves during forward.
 //
 // Layer paths are '/'-joined layer names from the root, with a "#k" suffix
 // (0-based occurrence index) appended when a name repeats among siblings:
@@ -40,7 +40,7 @@
 
 #include "axnn/axmul/adder.hpp"
 #include "axnn/ge/fit_registry.hpp"
-#include "axnn/nn/layer.hpp"
+#include "axnn/nn/gemm_layer.hpp"
 
 namespace axnn::nn {
 
@@ -69,14 +69,14 @@ struct LayerPlan {
 /// One conv/FC leaf discovered by walking a layer tree.
 struct GemmLeaf {
   std::string path;
-  Layer* layer = nullptr;
+  GemmLayer* layer = nullptr;
   bool is_conv = false;
   /// Accumulation length of one output element ((C/groups)*k*k for conv,
   /// in_features for FC) — the Monte-Carlo dot length for this layer's fit.
   int64_t dot_length = 0;
 };
 
-/// Depth-first enumeration of every Conv2d/Linear leaf with its path.
+/// Depth-first enumeration of every GemmLayer (conv/FC) leaf with its path.
 std::vector<GemmLeaf> enumerate_gemm_leaves(Layer& root);
 
 /// Path segments of `node`'s direct children, exactly as plan paths build
@@ -92,7 +92,7 @@ std::vector<std::string> child_path_segments(std::vector<std::string> names);
 struct ResolvedLayerPlan {
   std::string path;
   LayerPlan plan;
-  Layer* layer = nullptr;
+  GemmLayer* layer = nullptr;
   int64_t dot_length = 0;
   const approx::SignedMulTable* mul = nullptr;  ///< null = context fallback
   const axmul::Adder* adder = nullptr;          ///< null = context fallback

@@ -1,11 +1,8 @@
 #include "axnn/nn/conv2d.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "axnn/kernels/gemm.hpp"
-#include "axnn/kernels/int_gemm.hpp"
-#include "axnn/nn/monitor.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/obs/telemetry.hpp"
@@ -30,19 +27,21 @@ Tensor to_mat(const Tensor& fmap) {
   return mat;
 }
 
+/// The Kaiming-initialised weight [O, C/groups, k, k] of a validated config.
+Tensor init_weight(const Conv2dConfig& cfg, Rng& rng) {
+  if (cfg.in_channels <= 0 || cfg.out_channels <= 0)
+    throw std::invalid_argument("Conv2d: channels must be positive");
+  if (cfg.groups <= 0 || cfg.in_channels % cfg.groups || cfg.out_channels % cfg.groups)
+    throw std::invalid_argument("Conv2d: channels must be divisible by groups");
+  const int64_t cg = cfg.in_channels / cfg.groups;
+  return kaiming_normal(Shape{cfg.out_channels, cg, cfg.kernel, cfg.kernel},
+                        cg * cfg.kernel * cfg.kernel, rng);
+}
+
 }  // namespace
 
-Conv2d::Conv2d(Conv2dConfig cfg, Rng& rng) : cfg_(cfg) {
-  if (cfg_.in_channels <= 0 || cfg_.out_channels <= 0)
-    throw std::invalid_argument("Conv2d: channels must be positive");
-  if (cfg_.groups <= 0 || cfg_.in_channels % cfg_.groups || cfg_.out_channels % cfg_.groups)
-    throw std::invalid_argument("Conv2d: channels must be divisible by groups");
-  const int64_t cg = cfg_.in_channels / cfg_.groups;
-  const int64_t fan_in = cg * cfg_.kernel * cfg_.kernel;
-  weight_ = Param(kaiming_normal(Shape{cfg_.out_channels, cg, cfg_.kernel, cfg_.kernel},
-                                 fan_in, rng));
-  if (cfg_.bias) bias_ = Param(Tensor(Shape{cfg_.out_channels}, 0.0f));
-}
+Conv2d::Conv2d(Conv2dConfig cfg, Rng& rng)
+    : GemmLayer(init_weight(cfg, rng), cfg.bias), cfg_(cfg) {}
 
 std::string Conv2d::name() const {
   return "conv" + std::to_string(cfg_.kernel) + "x" + std::to_string(cfg_.kernel) + "_" +
@@ -50,55 +49,20 @@ std::string Conv2d::name() const {
          (cfg_.groups > 1 ? "_g" + std::to_string(cfg_.groups) : "");
 }
 
-std::vector<Param*> Conv2d::params() {
-  std::vector<Param*> p{&weight_};
-  if (cfg_.bias) p.push_back(&bias_);
-  return p;
-}
-
-void Conv2d::set_qparams(const quant::QuantParams& wgt, const quant::QuantParams& act) {
-  wgt_qp_ = wgt;
-  act_qp_ = act;
-  wgt_bits_ = wgt.bits;
-  act_bits_ = act.bits;
-  calibrated_ = true;
-}
-
-void Conv2d::set_bit_widths(int weight_bits, int activation_bits) {
-  if (weight_bits < 2 || weight_bits > 8 || activation_bits < 2 || activation_bits > 8)
-    throw std::invalid_argument("Conv2d::set_bit_widths: widths must be in [2, 8]");
-  wgt_bits_ = weight_bits;
-  act_bits_ = activation_bits;
-  calibrated_ = false;  // existing steps were chosen for the old widths
-}
-
 int64_t Conv2d::macs_per_sample(int64_t h, int64_t w) const {
   const int64_t oh = (h + 2 * cfg_.padding - cfg_.kernel) / cfg_.stride + 1;
   const int64_t ow = (w + 2 * cfg_.padding - cfg_.kernel) / cfg_.stride + 1;
-  const int64_t cg = cfg_.in_channels / cfg_.groups;
-  return cfg_.out_channels * cg * cfg_.kernel * cfg_.kernel * oh * ow;
+  return cfg_.out_channels * dot_length() * oh * ow;
 }
 
-/// Forward's backward caches (and the calibration pass's FP output), filled
-/// by run() only when forward asks for them.
-struct Conv2d::Caches {
-  ConvGeom geom{};
-  Tensor cols;      ///< effective cols [K, P]
-  Tensor w_mat;     ///< effective weight matrix [O, K/groups-block]
-  Tensor act_mask;  ///< STE clip mask (quantized modes)
-  Tensor acc;       ///< float copy of the integer accumulators [O, P] (GE only)
-  const ge::ErrorFit* fit = nullptr;
-  Tensor calib_out;  ///< FP out_mat of a kCalibrate pass
-};
-
-Tensor Conv2d::run_gemm_float(const float* w_mat, const Tensor& cols) const {
+Tensor Conv2d::float_gemm(const float* w, const Tensor& cols) const {
   const int64_t o = cfg_.out_channels, grp = cfg_.groups;
   const int64_t og = o / grp;
   const int64_t kg = cols.shape()[0] / grp;
   const int64_t p = cols.shape()[1];
   Tensor out(Shape{o, p});
   for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({}, w_mat + g * og * kg, cols.data() + g * kg * p, out.data() + g * og * p,
+    kernels::gemm({}, w + g * og * kg, cols.data() + g * kg * p, out.data() + g * og * p,
                   og, kg, p, kernels::auto_backend_f32(og, kg, p), nullptr, &plan_memo_);
   return out;
 }
@@ -134,51 +98,14 @@ Tensor Conv2d::output_from_acc(const TensorI32& acc, const ConvGeom& g) const {
   return out;
 }
 
-Tensor Conv2d::forward(const Tensor& x, const ExecContext& ctx) {
-  // Telemetry (zero-overhead when disabled): capture the metric path once —
-  // the backward pass runs outside the container scopes and reuses it.
-  if (obs::enabled()) obs_path_ = detail::leaf_obs_path(*this);
-  Caches keep;
-  Tensor y = run(x, ctx, obs_path_, &keep);
-  geom_ = keep.geom;
-  last_macs_ = macs_per_sample(geom_.h, geom_.w) * geom_.n;
-  calib_forward_ = ctx.mode == ExecMode::kCalibrate;
-  if (calib_forward_) {
-    // MinPropQE needs the cols and the FP output; backward needs nothing from
-    // a calibration pass, so it keeps no caches (one copy of the cols, not two).
-    act_obs_.observe(x);
-    calib_cols_ = std::move(keep.cols);
-    calib_out_fp_ = std::move(keep.calib_out);
-    keep = Caches{};
-  }
-  cached_cols_ = std::move(keep.cols);
-  cached_w_mat_ = std::move(keep.w_mat);
-  cached_act_mask_ = std::move(keep.act_mask);
-  cached_acc_ = std::move(keep.acc);
-  cached_fit_ = keep.fit;
-  return y;
-}
-
-Tensor Conv2d::infer(const Tensor& x, const ExecContext& ctx) const {
-  require_inference_context(*this, ctx);
-  return run(x, ctx, obs::enabled() ? detail::leaf_obs_path(*this) : std::string{}, nullptr);
-}
-
 Tensor Conv2d::run(const Tensor& x, const ExecContext& ctx, const std::string& obs_path,
                    Caches* keep) const {
   if (x.shape().rank() != 4 || x.shape()[1] != cfg_.in_channels)
     throw std::invalid_argument("Conv2d::forward: bad input shape " + x.shape().to_string());
-  const ConvGeom geom = ConvGeom::of(x.shape(), cfg_.kernel, cfg_.stride, cfg_.padding);
+  const ConvGeom geom = geom_of(x.shape());
   const LeafExec ex = plan_leaf_exec(ctx, *this);
-  if (keep != nullptr) keep->geom = geom;
-
-  const int64_t o = cfg_.out_channels, grp = cfg_.groups;
-  const int64_t og = o / grp;
-  const int64_t cg = cfg_.in_channels / grp;
-  const int64_t kg = cg * cfg_.kernel * cfg_.kernel;
-  const int64_t p = geom.out_cols();
-  const int64_t macs = og * kg * p * grp;
-  const Shape wmat_shape{o, kg};
+  const int64_t macs = macs_for(x.shape());
+  const Shape wmat_shape{cfg_.out_channels, dot_length()};
 
   const bool obs_on = obs::enabled();
   obs::ScopedTimer timer("forward.ns", obs_path);
@@ -187,90 +114,52 @@ Tensor Conv2d::run(const Tensor& x, const ExecContext& ctx, const std::string& o
     case ExecMode::kFloat:
     case ExecMode::kCalibrate: {
       Tensor cols = im2col(x, geom);
-      Tensor out_mat = run_gemm_float(weight_.value.data(), cols);
+      Tensor out_mat = float_gemm(weight_.value.data(), cols);
       if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, nullptr);
       Tensor out = output_from_mat(out_mat, geom);
       if (keep != nullptr) {
-        keep->cols = std::move(cols);
-        keep->w_mat = weight_.value.reshaped(wmat_shape);
+        keep->in = std::move(cols);
+        keep->w = weight_.value.reshaped(wmat_shape);
         if (ex.mode == ExecMode::kCalibrate) keep->calib_out = std::move(out_mat);
       }
       return out;
     }
 
     case ExecMode::kQuantExact: {
-      if (!calibrated_) throw std::logic_error("Conv2d: quantized forward before calibration");
-      if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
+      begin_quantized(ctx, ex, x);
       Tensor cols = im2col(quant::fake_quantize(x, act_qp_), geom);
       Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
-      const Tensor out_mat = run_gemm_float(wq.data(), cols);
+      const Tensor out_mat = float_gemm(wq.data(), cols);
       if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
       if (keep != nullptr) {
         keep->act_mask = quant::ste_mask(x, act_qp_);
-        keep->cols = std::move(cols);
-        keep->w_mat = std::move(wq);
-        keep->w_mat.reshape(wmat_shape);
+        keep->in = std::move(cols);
+        keep->w = std::move(wq);
+        keep->w.reshape(wmat_shape);
       }
       return output_from_mat(out_mat, geom);
     }
 
     case ExecMode::kQuantApprox: {
-      if (!calibrated_) throw std::logic_error("Conv2d: approx forward before calibration");
-      const approx::SignedMulTable* mul = ex.mul;
-      if (mul == nullptr)
-        throw std::logic_error("Conv2d: kQuantApprox requires a multiplier table");
-      if (wgt_qp_.bits > 4)
-        throw std::logic_error(
-            "Conv2d: approximate execution requires weight_bits <= 4 (LUT operand)");
-      if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
+      begin_quantized(ctx, ex, x);
       const TensorI8 qcols = im2col_i8(quantize_i8(x, act_qp_), geom);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
-      const bool forced_exact = ctx.monitor != nullptr && ex.adder == nullptr &&
-                                ctx.monitor->force_exact(*this);
-      TensorI32 acc(Shape{o, p});
-      for (int64_t g = 0; g < grp; ++g) {
-        const int8_t* wg = qw.data() + g * og * kg;
-        const int8_t* xg = qcols.data() + g * kg * p;
-        int32_t* cg = acc.data() + g * og * p;
-        if (ex.adder != nullptr)
-          kernels::gemm_approx_accum({}, wg, xg, cg, og, kg, p, *mul, *ex.adder);
-        else if (forced_exact)
-          kernels::gemm_exact({}, wg, xg, cg, og, kg, p,
-                              kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
-        else
-          kernels::gemm_approx({}, wg, xg, cg, og, kg, p, *mul,
-                               kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
-        if (ctx.monitor != nullptr && ex.adder == nullptr)
-          ctx.monitor->on_leaf_gemm(*this, g, !forced_exact, wg, xg, cg, og, kg, p,
-                                    forced_exact ? nullptr : mul);
-      }
+      const TensorI32 acc = approx_gemm(ctx, ex, qw, qcols.data(), geom.out_cols(), obs_path);
       Tensor out = output_from_acc(acc, geom);
       if (keep != nullptr) {
         // The STE backward (Eq. 5) uses the *exact* GEMM of the quantized
         // values: keep them dequantized.
         keep->act_mask = quant::ste_mask(x, act_qp_);
-        keep->cols = dequantize_i8(qcols, act_qp_);
-        keep->w_mat = dequantize_i8(qw, wgt_qp_).reshaped(wmat_shape);
+        keep->in = dequantize_i8(qcols, act_qp_);
+        keep->w = dequantize_i8(qw, wgt_qp_);
+        keep->w.reshape(wmat_shape);
         if (ex.fit != nullptr && !ex.fit->is_constant()) {
           keep->fit = ex.fit;
           keep->acc = Tensor(acc.shape());
           for (int64_t i = 0; i < acc.numel(); ++i) keep->acc[i] = static_cast<float>(acc[i]);
         }
       }
-      if (obs_on) {
-        detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
-        obs::Collector* c = obs::collector();
-        if (c != nullptr && c->config().ge_residual) {
-          // Diagnostics: re-run the GEMM exactly to observe eps = y~ - y and
-          // its residual against the GE fit (roughly doubles forward cost).
-          TensorI32 exact(Shape{o, p});
-          for (int64_t g = 0; g < grp; ++g)
-            kernels::gemm_exact({}, qw.data() + g * og * kg, qcols.data() + g * kg * p,
-                                exact.data() + g * og * p, og, kg, p,
-                                kernels::auto_backend(og, kg, p), nullptr, &plan_memo_);
-          detail::record_ge_residual(obs_path, ex.fit, acc.data(), exact.data(), acc.numel());
-        }
-      }
+      if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
       return out;
     }
   }
@@ -278,14 +167,14 @@ Tensor Conv2d::run(const Tensor& x, const ExecContext& ctx, const std::string& o
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {
-  if (calib_forward_)
-    throw std::logic_error(name() + ": backward after a calibration forward (no caches kept)");
-  if (dy.shape() != Shape{geom_.n, cfg_.out_channels, geom_.oh, geom_.ow})
+  require_backward_caches();
+  const ConvGeom geom = geom_of(in_shape_);
+  if (dy.shape() != Shape{geom.n, cfg_.out_channels, geom.oh, geom.ow})
     throw std::invalid_argument("Conv2d::backward: dy shape mismatch");
   const int64_t o = cfg_.out_channels, grp = cfg_.groups;
   const int64_t og = o / grp;
-  const int64_t kg = cached_w_mat_.numel() / o;
-  const int64_t p = geom_.out_cols();
+  const int64_t kg = dot_length();
+  const int64_t p = geom.out_cols();
 
   Tensor dy_mat = to_mat(dy);
 
@@ -298,33 +187,21 @@ Tensor Conv2d::backward(const Tensor& dy) {
     }
   }
 
-  // Gradient estimation (Eq. 12): scale the weight-gradient path by (1 + K),
-  // where K is the derivative of the fitted error function evaluated at the
-  // integer accumulator value of each output element.
-  const Tensor* dyw = &dy_mat;
   Tensor dy_scaled;
-  if (cached_fit_ != nullptr) {
-    dy_scaled = dy_mat;
-    for (int64_t i = 0; i < dy_scaled.numel(); ++i)
-      dy_scaled[i] *= static_cast<float>(1.0 + cached_fit_->derivative(cached_acc_[i]));
-    dyw = &dy_scaled;
-    if (obs::enabled()) detail::record_ge_backward(obs_path_, *cached_fit_, cached_acc_);
-  }
-
+  const Tensor& dyw = ge_scaled(dy_mat, dy_scaled);
   Tensor dw_mat(Shape{o, kg});
   for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({.trans_b = true}, dyw->data() + g * og * p,
-                  cached_cols_.data() + g * kg * p, dw_mat.data() + g * og * kg, og, p, kg,
+    kernels::gemm({.trans_b = true}, dyw.data() + g * og * p, cached_in_.data() + g * kg * p,
+                  dw_mat.data() + g * og * kg, og, p, kg,
                   kernels::auto_backend_f32(og, p, kg), nullptr, &plan_memo_);
   ops::add_inplace(weight_.grad, dw_mat.reshaped(weight_.grad.shape()));
 
   Tensor dcols(Shape{grp * kg, p}, 0.0f);
   for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({.trans_a = true, .accumulate = true},
-                  cached_w_mat_.data() + g * og * kg, dy_mat.data() + g * og * p,
-                  dcols.data() + g * kg * p, kg, og, p,
+    kernels::gemm({.trans_a = true, .accumulate = true}, cached_w_.data() + g * og * kg,
+                  dy_mat.data() + g * og * p, dcols.data() + g * kg * p, kg, og, p,
                   kernels::auto_backend_f32(kg, og, p), nullptr, &plan_memo_);
-  Tensor dx = col2im(dcols, geom_);
+  Tensor dx = col2im(dcols, geom);
 
   // Clipped STE on activations: gradients are blocked where the input
   // saturated the 8-bit range.
@@ -332,37 +209,6 @@ Tensor Conv2d::backward(const Tensor& dy) {
     for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
   }
   return dx;
-}
-
-void Conv2d::finalize_calibration(quant::Calibration method) {
-  if (!act_obs_.seen())
-    throw std::logic_error("Conv2d: finalize_calibration without calibration passes");
-  act_qp_ = act_obs_.params_min_mse(act_bits_);
-
-  switch (method) {
-    case quant::Calibration::kMaxAbs:
-      wgt_qp_ = quant::calibrate_max_abs(weight_.value, wgt_bits_);
-      break;
-    case quant::Calibration::kMinMse:
-      wgt_qp_ = quant::calibrate_min_mse(weight_.value, wgt_bits_);
-      break;
-    case quant::Calibration::kMinPropQE: {
-      if (!calib_cols_ || !calib_out_fp_) {
-        wgt_qp_ = quant::calibrate_min_mse(weight_.value, wgt_bits_);
-        break;
-      }
-      wgt_qp_ = quant::calibrate_min_prop_qe(
-          weight_.value, wgt_bits_, [&](const quant::QuantParams& p) {
-            const Tensor wq = quant::fake_quantize(weight_.value, p);
-            const Tensor out = run_gemm_float(wq.data(), *calib_cols_);
-            return ops::mse(out, *calib_out_fp_);
-          });
-      break;
-    }
-  }
-  calibrated_ = true;
-  calib_cols_.reset();
-  calib_out_fp_.reset();
 }
 
 void Conv2d::fold_scale_shift(const std::vector<float>& scale, const std::vector<float>& shift) {

@@ -3,97 +3,38 @@
 #include <stdexcept>
 
 #include "axnn/kernels/gemm.hpp"
-#include "axnn/kernels/int_gemm.hpp"
-#include "axnn/nn/monitor.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/obs/telemetry.hpp"
-#include "axnn/tensor/ops.hpp"
 #include "obs_hooks.hpp"
 
 namespace axnn::nn {
 
-Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
-    : in_(in_features), out_(out_features), has_bias_(bias) {
-  if (in_ <= 0 || out_ <= 0) throw std::invalid_argument("Linear: features must be positive");
-  weight_ = Param(kaiming_normal(Shape{out_, in_}, in_, rng));
-  if (has_bias_) bias_ = Param(Tensor(Shape{out_}, 0.0f));
+namespace {
+
+/// The Kaiming-initialised weight [O, F] of validated feature counts.
+Tensor init_weight(int64_t in, int64_t out, Rng& rng) {
+  if (in <= 0 || out <= 0) throw std::invalid_argument("Linear: features must be positive");
+  return kaiming_normal(Shape{out, in}, in, rng);
 }
+
+}  // namespace
+
+Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
+    : GemmLayer(init_weight(in_features, out_features, rng), bias),
+      in_(in_features),
+      out_(out_features) {}
 
 std::string Linear::name() const {
   return "linear_" + std::to_string(in_) + "->" + std::to_string(out_);
 }
 
-std::vector<Param*> Linear::params() {
-  std::vector<Param*> p{&weight_};
-  if (has_bias_) p.push_back(&bias_);
-  return p;
-}
-
-void Linear::set_qparams(const quant::QuantParams& wgt, const quant::QuantParams& act) {
-  wgt_qp_ = wgt;
-  act_qp_ = act;
-  wgt_bits_ = wgt.bits;
-  act_bits_ = act.bits;
-  calibrated_ = true;
-}
-
-void Linear::set_bit_widths(int weight_bits, int activation_bits) {
-  if (weight_bits < 2 || weight_bits > 8 || activation_bits < 2 || activation_bits > 8)
-    throw std::invalid_argument("Linear::set_bit_widths: widths must be in [2, 8]");
-  wgt_bits_ = weight_bits;
-  act_bits_ = activation_bits;
-  calibrated_ = false;
-}
-
-namespace {
-Tensor linear_forward_float(const Tensor& x, const Tensor& w, const Tensor* bias,
-                            kernels::PlanMemo* memo) {
-  const int64_t n = x.shape()[0], f = x.shape()[1], o = w.shape()[0];
-  Tensor y(Shape{n, o});
-  kernels::gemm({.trans_b = true}, x.data(), w.data(), y.data(), n, f, o,
-                kernels::auto_backend_f32(n, f, o), nullptr, memo);
-  if (bias != nullptr)
-    for (int64_t i = 0; i < n; ++i)
-      for (int64_t j = 0; j < o; ++j) y(i, j) += (*bias)[j];
+Tensor Linear::float_gemm(const float* w, const Tensor& x) const {
+  const int64_t n = x.shape()[0];
+  Tensor y(Shape{n, out_});
+  kernels::gemm({.trans_b = true}, x.data(), w, y.data(), n, in_, out_,
+                kernels::auto_backend_f32(n, in_, out_), nullptr, &plan_memo_);
   return y;
-}
-}  // namespace
-
-/// See Conv2d::Caches.
-struct Linear::Caches {
-  Tensor x;         ///< effective input [N, F]
-  Tensor w;         ///< effective weights [O, F]
-  Tensor act_mask;  ///< STE clip mask (quantized modes)
-  Tensor acc;       ///< float accumulators [N, O] (GE only)
-  const ge::ErrorFit* fit = nullptr;
-};
-
-Tensor Linear::forward(const Tensor& x, const ExecContext& ctx) {
-  // Telemetry (zero-overhead when disabled); see Conv2d::forward.
-  if (obs::enabled()) obs_path_ = detail::leaf_obs_path(*this);
-  Caches keep;
-  Tensor y = run(x, ctx, obs_path_, &keep);
-  last_macs_ = x.shape()[0] * in_ * out_;
-  calib_forward_ = ctx.mode == ExecMode::kCalibrate;
-  if (calib_forward_) {
-    // See Conv2d::forward: a calibration pass keeps no backward caches.
-    act_obs_.observe(x);
-    calib_x_ = std::move(keep.x);
-    calib_out_fp_ = linear_forward_float(x, weight_.value, nullptr, &plan_memo_);
-    keep = Caches{};
-  }
-  cached_x_ = std::move(keep.x);
-  cached_w_ = std::move(keep.w);
-  cached_act_mask_ = std::move(keep.act_mask);
-  cached_acc_ = std::move(keep.acc);
-  cached_fit_ = keep.fit;
-  return y;
-}
-
-Tensor Linear::infer(const Tensor& x, const ExecContext& ctx) const {
-  require_inference_context(*this, ctx);
-  return run(x, ctx, obs::enabled() ? detail::leaf_obs_path(*this) : std::string{}, nullptr);
 }
 
 Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& obs_path,
@@ -101,9 +42,13 @@ Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& o
   if (x.shape().rank() != 2 || x.shape()[1] != in_)
     throw std::invalid_argument("Linear::forward: bad input shape " + x.shape().to_string());
   const int64_t n = x.shape()[0];
-  const int64_t macs = n * in_ * out_;
-  const Tensor* bias = has_bias_ ? &bias_.value : nullptr;
+  const int64_t macs = macs_for(x.shape());
   const LeafExec ex = plan_leaf_exec(ctx, *this);
+  const auto add_bias = [&](Tensor& y) {
+    if (has_bias())
+      for (int64_t i = 0; i < n; ++i)
+        for (int64_t j = 0; j < out_; ++j) y(i, j) += bias_.value[j];
+  };
 
   const bool obs_on = obs::enabled();
   obs::ScopedTimer timer("forward.ns", obs_path);
@@ -111,24 +56,26 @@ Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& o
   switch (ex.mode) {
     case ExecMode::kFloat:
     case ExecMode::kCalibrate: {
-      Tensor y = linear_forward_float(x, weight_.value, bias, &plan_memo_);
+      Tensor y = float_gemm(weight_.value.data(), x);
       if (keep != nullptr) {
-        keep->x = x;
+        if (ex.mode == ExecMode::kCalibrate) keep->calib_out = y;
+        keep->in = x;
         keep->w = weight_.value;
       }
+      add_bias(y);
       if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, nullptr);
       return y;
     }
 
     case ExecMode::kQuantExact: {
-      if (!calibrated_) throw std::logic_error("Linear: quantized forward before calibration");
-      if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
+      begin_quantized(ctx, ex, x);
       Tensor xq = quant::fake_quantize(x, act_qp_);
       Tensor wq = quant::fake_quantize(weight_.value, wgt_qp_);
-      Tensor y = linear_forward_float(xq, wq, bias, &plan_memo_);
+      Tensor y = float_gemm(wq.data(), xq);
+      add_bias(y);
       if (keep != nullptr) {
         keep->act_mask = quant::ste_mask(x, act_qp_);
-        keep->x = std::move(xq);
+        keep->in = std::move(xq);
         keep->w = std::move(wq);
       }
       if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
@@ -136,47 +83,26 @@ Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& o
     }
 
     case ExecMode::kQuantApprox: {
-      if (!calibrated_) throw std::logic_error("Linear: approx forward before calibration");
-      const approx::SignedMulTable* mul = ex.mul;
-      if (mul == nullptr)
-        throw std::logic_error("Linear: kQuantApprox requires a multiplier table");
-      if (wgt_qp_.bits > 4)
-        throw std::logic_error(
-            "Linear: approximate execution requires weight_bits <= 4 (LUT operand)");
-      if (ctx.monitor != nullptr) ctx.monitor->on_leaf_input(*this, x);
+      begin_quantized(ctx, ex, x);
       const TensorI8 qx = quantize_i8(x, act_qp_);
       const TensorI8 qw = quantize_i8(weight_.value, wgt_qp_);
-      // gemm_approx computes W[O,F] ·~ X[F,N]: transpose the activations so
-      // they take the 8-bit operand role.
+      // The GEMM computes W[O,F] ·~ X[F,N]: transpose the activations so they
+      // take the 8-bit operand role.
       TensorI8 qxt(Shape{in_, n});
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < in_; ++j) qxt(j, i) = qx(i, j);
-      const bool forced_exact = ctx.monitor != nullptr && ex.adder == nullptr &&
-                                ctx.monitor->force_exact(*this);
-      TensorI32 acc(Shape{out_, n});
-      if (ex.adder != nullptr)
-        kernels::gemm_approx_accum({}, qw.data(), qxt.data(), acc.data(), out_, in_, n,
-                                   *mul, *ex.adder);
-      else if (forced_exact)
-        kernels::gemm_exact({}, qw.data(), qxt.data(), acc.data(), out_, in_, n,
-                            kernels::auto_backend(out_, in_, n), nullptr, &plan_memo_);
-      else
-        kernels::gemm_approx({}, qw.data(), qxt.data(), acc.data(), out_, in_, n, *mul,
-                             kernels::auto_backend(out_, in_, n), nullptr, &plan_memo_);
-      if (ctx.monitor != nullptr && ex.adder == nullptr)
-        ctx.monitor->on_leaf_gemm(*this, 0, !forced_exact, qw.data(), qxt.data(), acc.data(),
-                                  out_, in_, n, forced_exact ? nullptr : mul);
+      const TensorI32 acc = approx_gemm(ctx, ex, qw, qxt.data(), n, obs_path);
 
       // Fused dequant epilogue, transposing [O, N] back to [N, O].
       const float s = act_qp_.step * wgt_qp_.step;
       Tensor y(Shape{n, out_});
       for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < out_; ++j)
-          y(i, j) = static_cast<float>(acc(j, i)) * s + (has_bias_ ? bias_.value[j] : 0.0f);
+          y(i, j) = static_cast<float>(acc(j, i)) * s + (has_bias() ? bias_.value[j] : 0.0f);
 
       if (keep != nullptr) {
         keep->act_mask = quant::ste_mask(x, act_qp_);
-        keep->x = dequantize_i8(qx, act_qp_);
+        keep->in = dequantize_i8(qx, act_qp_);
         keep->w = dequantize_i8(qw, wgt_qp_);
         if (ex.fit != nullptr && !ex.fit->is_constant()) {
           keep->fit = ex.fit;
@@ -185,16 +111,7 @@ Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& o
             for (int64_t j = 0; j < out_; ++j) keep->acc(i, j) = static_cast<float>(acc(j, i));
         }
       }
-      if (obs_on) {
-        detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
-        obs::Collector* c = obs::collector();
-        if (c != nullptr && c->config().ge_residual) {
-          TensorI32 exact(Shape{out_, n});
-          kernels::gemm_exact({}, qw.data(), qxt.data(), exact.data(), out_, in_, n,
-                              kernels::auto_backend(out_, in_, n), nullptr, &plan_memo_);
-          detail::record_ge_residual(obs_path, ex.fit, acc.data(), exact.data(), acc.numel());
-        }
-      }
+      if (obs_on) detail::record_leaf_forward(obs_path, ex.mode, macs, x, &act_qp_);
       return y;
     }
   }
@@ -202,13 +119,12 @@ Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& o
 }
 
 Tensor Linear::backward(const Tensor& dy) {
-  if (calib_forward_)
-    throw std::logic_error(name() + ": backward after a calibration forward (no caches kept)");
-  const int64_t n = cached_x_.shape()[0];
+  require_backward_caches();
+  const int64_t n = in_shape_[0];
   if (dy.shape() != Shape{n, out_})
     throw std::invalid_argument("Linear::backward: dy shape mismatch");
 
-  if (has_bias_) {
+  if (has_bias()) {
     for (int64_t j = 0; j < out_; ++j) {
       double s = 0.0;
       for (int64_t i = 0; i < n; ++i) s += dy(i, j);
@@ -216,18 +132,10 @@ Tensor Linear::backward(const Tensor& dy) {
     }
   }
 
-  const Tensor* dyw = &dy;
   Tensor dy_scaled;
-  if (cached_fit_ != nullptr) {
-    dy_scaled = dy;
-    for (int64_t i = 0; i < dy_scaled.numel(); ++i)
-      dy_scaled[i] *= static_cast<float>(1.0 + cached_fit_->derivative(cached_acc_[i]));
-    dyw = &dy_scaled;
-    if (obs::enabled()) detail::record_ge_backward(obs_path_, *cached_fit_, cached_acc_);
-  }
-
+  const Tensor& dyw = ge_scaled(dy, dy_scaled);
   // dW[O,F] += dyᵀ · x
-  kernels::gemm({.trans_a = true, .accumulate = true}, dyw->data(), cached_x_.data(),
+  kernels::gemm({.trans_a = true, .accumulate = true}, dyw.data(), cached_in_.data(),
                 weight_.grad.data(), out_, n, in_,
                 kernels::auto_backend_f32(out_, n, in_), nullptr, &plan_memo_);
 
@@ -238,37 +146,6 @@ Tensor Linear::backward(const Tensor& dy) {
   if (!cached_act_mask_.empty())
     for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
   return dx;
-}
-
-void Linear::finalize_calibration(quant::Calibration method) {
-  if (!act_obs_.seen())
-    throw std::logic_error("Linear: finalize_calibration without calibration passes");
-  act_qp_ = act_obs_.params_min_mse(act_bits_);
-
-  switch (method) {
-    case quant::Calibration::kMaxAbs:
-      wgt_qp_ = quant::calibrate_max_abs(weight_.value, wgt_bits_);
-      break;
-    case quant::Calibration::kMinMse:
-      wgt_qp_ = quant::calibrate_min_mse(weight_.value, wgt_bits_);
-      break;
-    case quant::Calibration::kMinPropQE: {
-      if (!calib_x_ || !calib_out_fp_) {
-        wgt_qp_ = quant::calibrate_min_mse(weight_.value, wgt_bits_);
-        break;
-      }
-      wgt_qp_ = quant::calibrate_min_prop_qe(
-          weight_.value, wgt_bits_, [&](const quant::QuantParams& p) {
-            const Tensor wq = quant::fake_quantize(weight_.value, p);
-            const Tensor out = linear_forward_float(*calib_x_, wq, nullptr, &plan_memo_);
-            return ops::mse(out, *calib_out_fp_);
-          });
-      break;
-    }
-  }
-  calibrated_ = true;
-  calib_x_.reset();
-  calib_out_fp_.reset();
 }
 
 }  // namespace axnn::nn

@@ -5,7 +5,6 @@
 
 #include "axnn/axmul/registry.hpp"
 #include "axnn/nn/conv2d.hpp"
-#include "axnn/nn/linear.hpp"
 
 namespace axnn::nn {
 
@@ -33,20 +32,20 @@ std::vector<std::string> child_path_segments(std::vector<std::string> names) {
 
 namespace {
 
+GemmLeaf gemm_leaf(std::string path, GemmLayer& layer) {
+  return {std::move(path), &layer, dynamic_cast<Conv2d*>(&layer) != nullptr, layer.dot_length()};
+}
+
 void walk_leaves(Layer& node, const std::string& prefix, std::vector<GemmLeaf>& out) {
   const auto children = node.children();
   const auto segs = child_path_segments(node);
   for (size_t ci = 0; ci < children.size(); ++ci) {
     Layer* c = children[ci];
     const std::string path = prefix.empty() ? segs[ci] : prefix + "/" + segs[ci];
-    if (auto* conv = dynamic_cast<Conv2d*>(c)) {
-      const auto& cfg = conv->config();
-      out.push_back({path, c, true, (cfg.in_channels / cfg.groups) * cfg.kernel * cfg.kernel});
-    } else if (auto* lin = dynamic_cast<Linear*>(c)) {
-      out.push_back({path, c, false, lin->in_features()});
-    } else {
+    if (auto* leaf = dynamic_cast<GemmLayer*>(c))
+      out.push_back(gemm_leaf(path, *leaf));
+    else
       walk_leaves(*c, path, out);
-    }
   }
 }
 
@@ -158,15 +157,10 @@ std::string spec_to_string(const LayerPlan& p) {
 std::vector<GemmLeaf> enumerate_gemm_leaves(Layer& root) {
   std::vector<GemmLeaf> out;
   // A bare conv/FC root is its own single leaf (path = its name).
-  if (auto* conv = dynamic_cast<Conv2d*>(&root)) {
-    const auto& cfg = conv->config();
-    out.push_back({conv->name(), &root, true,
-                   (cfg.in_channels / cfg.groups) * cfg.kernel * cfg.kernel});
-  } else if (auto* lin = dynamic_cast<Linear*>(&root)) {
-    out.push_back({lin->name(), &root, false, lin->in_features()});
-  } else {
+  if (auto* leaf = dynamic_cast<GemmLayer*>(&root))
+    out.push_back(gemm_leaf(leaf->name(), *leaf));
+  else
     walk_leaves(root, "", out);
-  }
   return out;
 }
 
@@ -203,14 +197,7 @@ void PlanResolution::require_approximable() const {
 
 void PlanResolution::require_bit_widths() const {
   for (const auto& e : entries_) {
-    int wgt = 0, act = 0;
-    if (auto* conv = dynamic_cast<Conv2d*>(e.layer)) {
-      wgt = conv->weight_bits();
-      act = conv->activation_bits();
-    } else if (auto* lin = dynamic_cast<Linear*>(e.layer)) {
-      wgt = lin->weight_bits();
-      act = lin->activation_bits();
-    }
+    const int wgt = e.layer->weight_bits(), act = e.layer->activation_bits();
     if (wgt != e.plan.weight_bits || act != e.plan.activation_bits)
       throw std::invalid_argument(
           "PlanResolution: plan bit-widths at '" + e.path + "' (" +
@@ -271,10 +258,7 @@ void NetPlan::apply_bit_widths(Layer& root) const {
   check_overrides_matched(overrides_, leaves, "NetPlan::apply_bit_widths");
   for (const auto& leaf : leaves) {
     const LayerPlan& lp = match(leaf.path);
-    if (auto* conv = dynamic_cast<Conv2d*>(leaf.layer))
-      conv->set_bit_widths(lp.weight_bits, lp.activation_bits);
-    else if (auto* lin = dynamic_cast<Linear*>(leaf.layer))
-      lin->set_bit_widths(lp.weight_bits, lp.activation_bits);
+    leaf.layer->set_bit_widths(lp.weight_bits, lp.activation_bits);
   }
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "axnn/approx/signed_lut.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/tensor/rng.hpp"
 

@@ -44,8 +44,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/ge/fit_registry.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/nn/monitor.hpp"
 #include "axnn/nn/plan.hpp"
 

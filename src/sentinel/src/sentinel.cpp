@@ -9,8 +9,6 @@
 #include "axnn/axmul/registry.hpp"
 #include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/plan.hpp"
-#include "axnn/nn/conv2d.hpp"
-#include "axnn/nn/linear.hpp"
 #include "axnn/nn/qutils.hpp"
 #include "axnn/obs/telemetry.hpp"
 #include "axnn/tensor/buffer_pool.hpp"
@@ -113,36 +111,19 @@ void Sentinel::calibrate_leaf(const nn::GemmLeaf& leaf, const approx::SignedMulT
   st.index = static_cast<int64_t>(leaves_.size());
   st.stats.path = leaf.path;
 
-  int64_t groups = 0, rows = 0, cols = 0;
-  if (auto* cv = dynamic_cast<nn::Conv2d*>(leaf.layer)) {
-    if (!cv->calibrated())
-      throw std::logic_error("Sentinel: leaf '" + leaf.path +
-                             "' is not calibrated; run the quantization stage first");
-    groups = cv->config().groups;
-    rows = cv->config().out_channels / groups;
-    cols = leaf.dot_length;
-    st.golden_w = nn::quantize_i8(cv->weight().value, cv->weight_qparams());
-    st.qrange = static_cast<double>(cv->act_qparams().range());
-    const quant::RangeObserver& ob = cv->act_observer();
-    st.range_bound = ob.seen() ? std::max(static_cast<double>(ob.max_abs()), st.qrange) : st.qrange;
-    const double clip = ob.seen() ? ob.clip_fraction(cv->act_qparams()) : 0.0;
-    st.clip_limit = std::min(0.5, cfg_.clip_scale * clip + cfg_.clip_floor);
-  } else if (auto* fc = dynamic_cast<nn::Linear*>(leaf.layer)) {
-    if (!fc->calibrated())
-      throw std::logic_error("Sentinel: leaf '" + leaf.path +
-                             "' is not calibrated; run the quantization stage first");
-    groups = 1;
-    rows = fc->out_features();
-    cols = fc->in_features();
-    st.golden_w = nn::quantize_i8(fc->weight().value, fc->weight_qparams());
-    st.qrange = static_cast<double>(fc->act_qparams().range());
-    const quant::RangeObserver& ob = fc->act_observer();
-    st.range_bound = ob.seen() ? std::max(static_cast<double>(ob.max_abs()), st.qrange) : st.qrange;
-    const double clip = ob.seen() ? ob.clip_fraction(fc->act_qparams()) : 0.0;
-    st.clip_limit = std::min(0.5, cfg_.clip_scale * clip + cfg_.clip_floor);
-  } else {
-    throw std::logic_error("Sentinel: leaf '" + leaf.path + "' is neither Conv2d nor Linear");
-  }
+  nn::GemmLayer& gl = *leaf.layer;
+  if (!gl.calibrated())
+    throw std::logic_error("Sentinel: leaf '" + leaf.path +
+                           "' is not calibrated; run the quantization stage first");
+  const int64_t groups = gl.groups();
+  const int64_t rows = gl.weight().value.shape()[0] / groups;
+  const int64_t cols = gl.dot_length();
+  st.golden_w = nn::quantize_i8(gl.weight().value, gl.weight_qparams());
+  st.qrange = static_cast<double>(gl.act_qparams().range());
+  const quant::RangeObserver& ob = gl.act_observer();
+  st.range_bound = ob.seen() ? std::max(static_cast<double>(ob.max_abs()), st.qrange) : st.qrange;
+  const double clip = ob.seen() ? ob.clip_fraction(gl.act_qparams()) : 0.0;
+  st.clip_limit = std::min(0.5, cfg_.clip_scale * clip + cfg_.clip_floor);
 
   st.rows_per_group = rows;
   st.golden_wsum.assign(static_cast<size_t>(groups * cols), 0);

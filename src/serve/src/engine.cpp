@@ -7,8 +7,7 @@
 #include <unordered_map>
 
 #include "axnn/energy/energy.hpp"
-#include "axnn/nn/conv2d.hpp"
-#include "axnn/nn/linear.hpp"
+#include "axnn/nn/gemm_layer.hpp"
 #include "axnn/nn/monitor.hpp"
 #include "axnn/nn/serialize.hpp"
 #include "axnn/obs/telemetry.hpp"
@@ -40,11 +39,8 @@ public:
 
   bool force_exact(const nn::Layer&) override { return false; }
   void on_leaf_input(const nn::Layer& leaf, const Tensor& x) override {
-    const int64_t n = x.shape()[0];
-    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&leaf))
-      macs_[&leaf] = n * conv->macs_per_sample(x.shape()[2], x.shape()[3]);
-    else if (const auto* lin = dynamic_cast<const nn::Linear*>(&leaf))
-      macs_[&leaf] = n * lin->in_features() * lin->out_features();
+    if (const auto* gl = dynamic_cast<const nn::GemmLayer*>(&leaf))
+      macs_[&leaf] = gl->macs_for(x.shape());
   }
   bool on_leaf_gemm(const nn::Layer&, int64_t, bool, const int8_t*, const int8_t*, int32_t*,
                     int64_t, int64_t, int64_t, const approx::SignedMulTable*) override {

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/data/dataset.hpp"
 #include "axnn/ge/error_fit.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/nn/sequential.hpp"
 #include "axnn/train/trainer.hpp"

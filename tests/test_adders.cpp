@@ -3,9 +3,9 @@
 
 #include <cmath>
 
-#include "axnn/approx/kernels.hpp"
 #include "axnn/axmul/adder.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/quant/calibration.hpp"
 #include "axnn/tensor/ops.hpp"

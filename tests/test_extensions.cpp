@@ -2,8 +2,11 @@
 // bit-widths and per-layer plan overrides (non-uniform approximation).
 #include <gtest/gtest.h>
 
-#include "axnn/approx/signed_lut.hpp"
+#include <string>
+#include <utility>
+
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/linear.hpp"
@@ -82,18 +85,46 @@ TEST(BitWidths, LowerWidthIncreasesQuantError) {
   }
 }
 
+/// Calibrates `leaf` on one batch `x` (MinPropQE).
+void calibrate(GemmLayer& leaf, const Tensor& x) {
+  (void)leaf.forward(x, ExecContext::calibrate());
+  leaf.finalize_calibration(quant::Calibration::kMinPropQE);
+}
+
 TEST(BitWidths, ApproxModeRejectsWideWeights) {
   Rng rng(6);
   const Tensor x = randn(Shape{1, 2, 5, 5}, rng, 0.0f, 0.5f);
+  const Tensor xf = randn(Shape{3, 4}, rng, 0.0f, 0.5f);
   Conv2d conv({2, 2, 3, 1, 1, 1, true}, rng);
-  conv.set_bit_widths(8, 8);
-  (void)conv.forward(x, ExecContext::calibrate());
-  conv.finalize_calibration(quant::Calibration::kMinPropQE);
-  // Quantized-exact works at 8-bit weights...
-  EXPECT_NO_THROW(conv.forward(x, ExecContext::quant_exact()));
-  // ...but the 4-bit LUT operand cannot represent them.
+  Linear lin(4, 2, rng);
   const approx::SignedMulTable tab;
-  EXPECT_THROW(conv.forward(x, ExecContext::quant_approx(tab)), std::logic_error);
+  for (const auto& [leaf, in] : {std::pair<GemmLayer*, const Tensor*>{&conv, &x}, {&lin, &xf}}) {
+    leaf->set_bit_widths(8, 8);
+    calibrate(*leaf, *in);
+    // Quantized-exact works at 8-bit weights...
+    EXPECT_NO_THROW(leaf->forward(*in, ExecContext::quant_exact())) << leaf->name();
+    // ...but the 4-bit LUT operand cannot represent them.
+    EXPECT_THROW(leaf->forward(*in, ExecContext::quant_approx(tab)), std::logic_error)
+        << leaf->name();
+  }
+}
+
+TEST(GemmLayerGuards, ApproxForwardWithoutTableThrows) {
+  Rng rng(9);
+  const Tensor x = randn(Shape{1, 2, 5, 5}, rng, 0.0f, 0.5f);
+  const Tensor xf = randn(Shape{3, 4}, rng, 0.0f, 0.5f);
+  Conv2d conv({2, 2, 3, 1, 1, 1, true}, rng);
+  Linear lin(4, 2, rng);
+  const ExecContext no_table{.mode = ExecMode::kQuantApprox};
+  for (const auto& [leaf, in] : {std::pair<GemmLayer*, const Tensor*>{&conv, &x}, {&lin, &xf}}) {
+    calibrate(*leaf, *in);
+    try {
+      (void)leaf->forward(*in, no_table);
+      ADD_FAILURE() << leaf->name() << ": kQuantApprox without a table did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("multiplier table"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(BitWidths, RecursiveSetterReachesAllGemmLayers) {

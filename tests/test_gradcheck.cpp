@@ -6,9 +6,9 @@
 #include <cmath>
 #include <functional>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/kd/distill.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/models/blocks.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/batchnorm.hpp"

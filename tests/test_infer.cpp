@@ -11,9 +11,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/data/synthetic.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/models/mobilenetv2.hpp"
 #include "axnn/models/resnet.hpp"
 #include "axnn/nn/plan.hpp"

@@ -8,6 +8,8 @@
 #include "axnn/core/pipeline.hpp"
 #include "axnn/core/profile.hpp"
 #include "axnn/core/table.hpp"
+#include "axnn/nn/conv2d.hpp"
+#include "axnn/nn/linear.hpp"
 #include "axnn/train/evaluate.hpp"
 
 namespace axnn::core {
@@ -66,6 +68,20 @@ TEST(Pipeline, ModelKindNames) {
   EXPECT_EQ(to_string(ModelKind::kResNet20), "resnet20");
   EXPECT_EQ(to_string(ModelKind::kResNet32), "resnet32");
   EXPECT_EQ(to_string(ModelKind::kMobileNetV2), "mobilenetv2");
+}
+
+TEST(Pipeline, CopyQuantStateCopiesStepsAndRejectsLeafTypeMismatch) {
+  Rng rng(3);
+  nn::Linear src(4, 2, rng), dst(4, 2, rng);
+  nn::Conv2d conv({4, 2, 1, 1, 0, 1, true}, rng);
+  const quant::QuantParams w{0.25f, 4}, a{0.125f, 8};
+  src.set_qparams(w, a);
+  copy_quant_state(src, dst);
+  EXPECT_TRUE(dst.calibrated());
+  EXPECT_EQ(dst.weight_qparams().step, w.step);
+  EXPECT_EQ(dst.act_qparams().step, a.step);
+  EXPECT_THROW(copy_quant_state(src, conv), std::invalid_argument);
+  EXPECT_THROW(copy_quant_state(conv, src), std::invalid_argument);
 }
 
 TEST(Pipeline, EndToEndResNetFlow) {

@@ -11,15 +11,13 @@
 #include <string>
 #include <vector>
 
-#include "axnn/approx/kernels.hpp"
-#include "axnn/approx/approx_gemm.hpp"
 #include "axnn/axmul/adder.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/axmul/truncated.hpp"
-#include "axnn/kernels/plan.hpp"
+#include "axnn/kernels/gemm.hpp"
+#include "axnn/kernels/int_gemm.hpp"
 #include "axnn/kernels/isa.hpp"
-#include "axnn/tensor/gemm.hpp"
-#include "axnn/tensor/kernels.hpp"
+#include "axnn/kernels/plan.hpp"
 #include "axnn/tensor/rng.hpp"
 #include "axnn/tensor/tensor.hpp"
 #include "axnn/tensor/threadpool.hpp"
@@ -445,57 +443,23 @@ TEST(ThreadPoolGlobal, SetThreadsFailsLoudAfterFirstUse) {
   EXPECT_THROW(ThreadPool::set_global_threads(current + 1), std::logic_error);
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated float free-function wrappers must keep compiling and agreeing.
-// (The axnn::approx int wrappers are gone; matmul_approx is the only
-// remaining convenience and routes through the same dispatch.)
-// ---------------------------------------------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedWrappers, StillComputeTheSameResults) {
-  const int64_t m = 17, k = 33, n = 9;
-  const auto a = random_floats(m * k, 51);
-  const auto b = random_floats(k * n, 52);
-  std::vector<float> ref(static_cast<size_t>(m * n));
-  std::vector<float> got(static_cast<size_t>(m * n));
-
-  kernels::gemm({}, a.data(), b.data(), ref.data(), m, k, n);
-  gemm_f32(a.data(), b.data(), got.data(), m, k, n);
-  expect_close(ref, got, k, "gemm_f32");
-
-  kernels::gemm({.accumulate = true}, a.data(), b.data(), ref.data(), m, k, n);
-  gemm_f32_acc(a.data(), b.data(), got.data(), m, k, n);
-  expect_close(ref, got, k, "gemm_f32_acc");
-
-  const auto bt = random_floats(n * k, 53);  // B stored [N,K]
-  kernels::gemm({.trans_b = true}, a.data(), bt.data(), ref.data(), m, k, n);
-  gemm_nt_f32(a.data(), bt.data(), got.data(), m, k, n);
-  expect_close(ref, got, k, "gemm_nt_f32");
-
-  const auto at = random_floats(k * m, 54);  // A stored [K,M]
-  kernels::gemm({.trans_a = true, .accumulate = true}, at.data(), b.data(), ref.data(),
-                m, k, n);
-  gemm_tn_f32_acc(at.data(), b.data(), got.data(), m, k, n);
-  expect_close(ref, got, k, "gemm_tn_f32_acc");
-}
-#pragma GCC diagnostic pop
-
-// The tensor-level convenience agrees with the raw int dispatch it wraps.
+// The kernel dispatch agrees with the scalar definition of the approximate
+// GEMM (Eq. 4) on a shape no blocking tile divides.
 TEST(MatmulApprox, MatchesKernelDispatch) {
   const int64_t m = 17, k = 33, n = 9;
   const approx::SignedMulTable tab(axmul::make_lut("trunc3"));
   const auto w = random_i8(m * k, 55, -7, 7);
-  const auto xi = random_i8(k * n, 56, -127, 127);
+  const auto x = random_i8(k * n, 56, -127, 127);
 
-  TensorI8 wt(Shape{m, k}), xt(Shape{k, n});
-  std::copy(w.begin(), w.end(), wt.data());
-  std::copy(xi.begin(), xi.end(), xt.data());
-
-  std::vector<int32_t> iref(static_cast<size_t>(m * n));
-  kernels::gemm_approx({}, w.data(), xi.data(), iref.data(), m, k, n, tab);
-  const TensorI32 igot = approx::matmul_approx(wt, xt, tab);
-  for (int64_t i = 0; i < igot.numel(); ++i) EXPECT_EQ(iref[static_cast<size_t>(i)], igot[i]);
+  std::vector<int32_t> got(static_cast<size_t>(m * n));
+  kernels::gemm_approx({}, w.data(), x.data(), got.data(), m, k, n, tab);
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < n; ++j) {
+      int32_t acc = 0;
+      for (int64_t kk = 0; kk < k; ++kk)
+        acc += tab(x[static_cast<size_t>(kk * n + j)], w[static_cast<size_t>(i * k + kk)]);
+      EXPECT_EQ(got[static_cast<size_t>(i * n + j)], acc) << "i=" << i << " j=" << j;
+    }
 }
 
 }  // namespace

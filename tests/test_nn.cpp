@@ -10,8 +10,8 @@
 #include <filesystem>
 #include <string>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/batchnorm.hpp"
 #include "axnn/nn/conv2d.hpp"
@@ -251,7 +251,9 @@ TEST(Conv2d, QuantForwardBeforeCalibrationThrows) {
   Rng rng(1);
   Conv2d conv({2, 2, 3, 1, 1, 1, true}, rng);
   const Tensor x(Shape{1, 2, 4, 4}, 0.5f);
+  const approx::SignedMulTable tab;
   EXPECT_THROW(conv.forward(x, ExecContext::quant_exact()), std::logic_error);
+  EXPECT_THROW(conv.forward(x, ExecContext::quant_approx(tab)), std::logic_error);
 }
 
 TEST(Conv2d, QuantExactEqualsFakeQuantReference) {
@@ -334,6 +336,15 @@ TEST(Linear, ApproxExactTableMatchesQuantExact) {
   const approx::SignedMulTable exact_tab;
   const Tensor ya = lin.forward(x, ExecContext::quant_approx(exact_tab));
   for (int64_t i = 0; i < yq.numel(); ++i) EXPECT_NEAR(ya[i], yq[i], 1e-3f);
+}
+
+TEST(Linear, QuantForwardBeforeCalibrationThrows) {
+  Rng rng(1);
+  Linear lin(4, 2, rng);
+  const Tensor x(Shape{1, 4}, 0.5f);
+  const approx::SignedMulTable tab;
+  EXPECT_THROW(lin.forward(x, ExecContext::quant_exact()), std::logic_error);
+  EXPECT_THROW(lin.forward(x, ExecContext::quant_approx(tab)), std::logic_error);
 }
 
 TEST(BatchNorm, NormalizesInTraining) {

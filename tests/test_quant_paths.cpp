@@ -9,8 +9,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/linear.hpp"
 #include "axnn/nn/qutils.hpp"

@@ -7,8 +7,8 @@
 #include <limits>
 #include <vector>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/resilience/crc32.hpp"
 #include "axnn/resilience/fault.hpp"
 #include "axnn/resilience/guard.hpp"

@@ -7,10 +7,10 @@
 #include <cmath>
 #include <limits>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/core/report_adapters.hpp"
 #include "axnn/data/synthetic.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/nn/activations.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/linear.hpp"
@@ -205,10 +205,8 @@ TEST_F(SentinelFixture, WeightFaultsRepairedFromGoldenCopy) {
   // golden repair can restore the output exactly). bit_hi=30 keeps the top
   // exponent bit and the sign intact — corrupted but finite weights.
   std::vector<Tensor*> weights;
-  for (const auto& leaf : nn::enumerate_gemm_leaves(*net_)) {
-    if (auto* c = dynamic_cast<nn::Conv2d*>(leaf.layer)) weights.push_back(&c->weight().value);
-    if (auto* l = dynamic_cast<nn::Linear*>(leaf.layer)) weights.push_back(&l->weight().value);
-  }
+  for (const auto& leaf : nn::enumerate_gemm_leaves(*net_))
+    weights.push_back(&leaf.layer->weight().value);
   ASSERT_EQ(weights.size(), 3u);
   resilience::FaultSpec spec;
   spec.rate = 0.05;

@@ -4,9 +4,9 @@
 
 #include <cmath>
 
-#include "axnn/approx/signed_lut.hpp"
 #include "axnn/axmul/registry.hpp"
 #include "axnn/data/synthetic.hpp"
+#include "axnn/kernels/signed_lut.hpp"
 #include "axnn/models/resnet.hpp"
 #include "axnn/nn/conv2d.hpp"
 #include "axnn/nn/linear.hpp"
