@@ -5,7 +5,8 @@
 // can compare them directly; the ResNet20 conv shape M=64, K=576, N=1024 is
 // the acceptance shape for the blocked kernels, and the *Served cases run
 // the shapes a batch-8 served model executes: its GEMMs under both
-// approximate tiers and its int8 im2col lowerings.
+// approximate tiers and its int8 im2col lowerings. The *Train cases run the
+// float GEMMs and col2im of a fine-tune step's backward.
 //
 // The *Telemetry variants run the same GEMMs with an obs::Collector
 // attached — their delta against the base benches is the telemetry
@@ -270,6 +271,69 @@ BENCHMARK(BM_Im2colServed)
     ->Args({48, 8, 3, 1})
     ->Args({48, 8, 3, 2})
     ->Args({96, 4, 3, 1})
+    ->ArgNames({"c", "hw", "k", "s"});
+
+// The float GEMMs of one fine-tune step's backward (fast-profile ResNet20,
+// 16², batch 32): the weight gradient dW[og,kg] = dy[og,p]·colsᵀ (nt; stem
+// 4×8192×27, stage 1 4×8192×36, stage 2 8×2048×36 and 8×2048×72, stage 3
+// 16×512×72 and 16×512×144) and the input gradient dcols[kg,p] = Wᵀ·dy
+// (tn; 27×4×8192, 36×4×8192, 36×8×2048, 72×8×2048, 72×16×512, 144×16×512).
+// kern: 0 = naive, 1 = blocked on the scalar tier, 2 = blocked on the
+// active ISA's tier. The label names the layout, backend and tier.
+void BM_GemmF32Train(benchmark::State& state) {
+  const int64_t M = state.range(0), K = state.range(1), N = state.range(2);
+  const bool dw = state.range(3) == 0;
+  const int64_t kern = state.range(4);
+  const kernels::GemmDesc desc{.trans_a = !dw, .trans_b = dw};
+  Rng rng(9);
+  const Tensor a = randn(Shape{M * K}, rng);
+  const Tensor b = randn(Shape{K * N}, rng);
+  Tensor c(Shape{M, N});
+  const kernels::Backend be = kern == 0 ? kernels::Backend::kNaive : kernels::Backend::kBlocked;
+  const kernels::Isa saved = kernels::active_isa();
+  if (kern == 1) kernels::set_isa(kernels::Isa::kScalar);
+  state.SetLabel(std::string(dw ? "dW nt " : "dX tn ") + kernels::backend_name(be) +
+                 (kern == 0 ? "" : std::string("/") + kernels::isa_name(kernels::active_isa())));
+  for (auto _ : state) {
+    kernels::gemm(desc, a.data(), b.data(), c.data(), M, K, N, be);
+    benchmark::DoNotOptimize(c.data());
+  }
+  kernels::set_isa(saved);
+  state.SetItemsProcessed(state.iterations() * M * K * N);
+}
+BENCHMARK(BM_GemmF32Train)
+    ->ArgsProduct({{4}, {8192}, {27, 36}, {0}, {0, 1, 2}})
+    ->ArgsProduct({{8}, {2048}, {36, 72}, {0}, {0, 1, 2}})
+    ->ArgsProduct({{16}, {512}, {72, 144}, {0}, {0, 1, 2}})
+    ->ArgsProduct({{27, 36}, {4}, {8192}, {1}, {0, 1, 2}})
+    ->ArgsProduct({{36, 72}, {8}, {2048}, {1}, {0, 1, 2}})
+    ->ArgsProduct({{72, 144}, {16}, {512}, {1}, {0, 1, 2}})
+    ->ArgNames({"m", "k", "n", "dx", "kern"});
+
+// col2im of every conv geometry a fine-tune step back-propagates through
+// (fast-profile ResNet20, batch 32: stem c3 16²; stage 1 c4 16²; stage 2
+// c4 16² s2 and its 1×1 s2 shortcut, then c8 8²; stage 3 c8 8² s2 and its
+// shortcut, then c16 4²), on the default pool.
+void BM_Col2im(benchmark::State& state) {
+  const int64_t c = state.range(0), hw = state.range(1), k = state.range(2);
+  const nn::ConvGeom g = nn::ConvGeom::of(Shape{32, c, hw, hw}, k, state.range(3), k / 2);
+  Rng rng(10);
+  const Tensor cols = randn(Shape{g.patch_rows(), g.out_cols()}, rng);
+  for (auto _ : state) {
+    Tensor dx = nn::col2im(cols, g);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.patch_rows() * g.out_cols());
+}
+BENCHMARK(BM_Col2im)
+    ->Args({3, 16, 3, 1})
+    ->Args({4, 16, 3, 1})
+    ->Args({4, 16, 3, 2})
+    ->Args({4, 16, 1, 2})
+    ->Args({8, 8, 3, 1})
+    ->Args({8, 8, 3, 2})
+    ->Args({8, 8, 1, 2})
+    ->Args({16, 4, 3, 1})
     ->ArgNames({"c", "hw", "k", "s"});
 
 void BM_FakeQuantize(benchmark::State& state) {

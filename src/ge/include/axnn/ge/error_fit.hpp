@@ -35,10 +35,13 @@ struct ErrorFit {
   }
 
   /// df/dy: k in the linear region, 0 where clamped (Eq. 13).
-  double derivative(double y) const {
+  /// True where f is in its linear region (not clamped) at y.
+  bool linear_at(double y) const {
     const double lin = k * y + c;
-    return (lin < a && lin > b) ? k : 0.0;
+    return lin < a && lin > b;
   }
+
+  double derivative(double y) const { return linear_at(y) ? k : 0.0; }
 
   /// True when the fitted error carries no usable slope; GE then degenerates
   /// to the straight-through estimator (paper Sec. III-C).

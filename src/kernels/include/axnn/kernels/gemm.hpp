@@ -50,13 +50,6 @@ void set_default_backend(Backend b);
 /// per-layer replay calls it to pick the backend the layers' int GEMMs run.
 Backend auto_backend(int64_t m, int64_t k, int64_t n);
 
-/// Backend the float GEMMs run for an m×k×n problem: kBlocked only pays for
-/// its A/B panel packing once the problem is big enough, so tiny GEMMs
-/// (depthwise-conv groups, single-row batches) cut over to kNaive. A kNaive
-/// default is always honoured; an explicitly passed backend bypasses this
-/// heuristic entirely.
-Backend auto_backend_f32(int64_t m, int64_t k, int64_t n);
-
 /// Describes C = op(A)·op(B) (or += with accumulate). All matrices are
 /// row-major; `m, k, n` are the *logical* GEMM dimensions, so A holds m×k
 /// values stored as [M,K] (trans_a=false) or [K,M] (trans_a=true), and B
@@ -66,6 +59,17 @@ struct GemmDesc {
   bool trans_b = false;
   bool accumulate = false;
 };
+
+/// Backend the float GEMMs run for an m×k×n problem in `desc`'s layout:
+/// kBlocked only pays for its A/B panel packing once the problem is big
+/// enough, so tiny GEMMs (depthwise-conv groups, single-row batches) cut
+/// over to kNaive. Below 8 rows the layout decides: a non-transposed B
+/// (nn/tn, the forward and input-gradient GEMMs) keeps the naive row-axpy
+/// loop, a transposed B (nt/tt, the weight-gradient GEMMs) goes blocked,
+/// because its naive loop is a double-accumulating dot product per element.
+/// A kNaive default is always honoured; an explicitly passed backend
+/// bypasses this heuristic entirely.
+Backend auto_backend_f32(const GemmDesc& desc, int64_t m, int64_t k, int64_t n);
 
 class PlanMemo;
 
@@ -80,7 +84,7 @@ void gemm(const GemmDesc& desc, const float* a, const float* b, float* c, int64_
 
 inline void gemm(const GemmDesc& desc, const float* a, const float* b, float* c,
                  int64_t m, int64_t k, int64_t n) {
-  gemm(desc, a, b, c, m, k, n, auto_backend_f32(m, k, n), nullptr);
+  gemm(desc, a, b, c, m, k, n, auto_backend_f32(desc, m, k, n), nullptr);
 }
 
 /// Rows-per-task grain so each parallel_for task carries enough MACs

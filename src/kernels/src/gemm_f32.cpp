@@ -125,14 +125,16 @@ void naive_tt(const float* a, const float* b, float* c, int64_t m, int64_t k, in
 // ---------------------------------------------------------------------------
 // Blocked backend — MC/KC/NC cache blocking, MR×NR register tiling, packed
 // panels in per-thread scratch arenas. Transposes are absorbed by the
-// packing, so one micro-kernel serves all four layout combinations.
+// packing, so one micro-kernel serves all four layout combinations. This is
+// the scalar tier; the AVX2 tier (simd_avx2.cpp) packs the same layout and
+// keeps every element's operation order.
 // ---------------------------------------------------------------------------
 
-constexpr int64_t MR = 4;   // rows per register tile
-constexpr int64_t NR = 8;   // cols per register tile (4×8 accumulators fit 16 SSE regs)
-constexpr int64_t MC = 64;  // rows per packed A block
-constexpr int64_t KC = 256;  // k-depth per packed panel pair
-constexpr int64_t NC = 256;  // cols per packed B block
+constexpr int64_t MR = detail::kF32Mr;  // 4×8 accumulators fit 16 SSE regs
+constexpr int64_t NR = detail::kF32Nr;
+constexpr int64_t MC = detail::kF32Mc;
+constexpr int64_t KC = detail::kF32Kc;
+constexpr int64_t NC = detail::kF32Nc;
 
 /// apack: ceil(mc/MR) strips, each [kc][MR]; rows beyond mc zero-padded.
 void pack_a(float* dst, const float* a, bool trans, int64_t m, int64_t k, int64_t i0,
@@ -177,46 +179,69 @@ void micro_kernel(const float* __restrict ap, const float* __restrict bp, int64_
   for (int64_t x = 0; x < MR * NR; ++x) out[x] = acc[x];
 }
 
+/// C[mc, nc] (=|+=) packed A · packed B over one KC panel, tile by tile.
+void block(const float* apack, const float* bpack, int64_t mc, int64_t nc, int64_t kc,
+           float* c, int64_t ldc, bool store) {
+  float acc[MR * NR];
+  for (int64_t s = 0; s < mc; s += MR) {
+    const int64_t mr = std::min(MR, mc - s);
+    const float* ap = apack + s * kc;
+    for (int64_t t = 0; t < nc; t += NR) {
+      const int64_t nr = std::min(NR, nc - t);
+      micro_kernel(ap, bpack + t * kc, kc, acc);
+      for (int64_t r = 0; r < mr; ++r) {
+        float* crow = c + (s + r) * ldc + t;
+        const float* arow = acc + r * NR;
+        if (store)
+          for (int64_t j = 0; j < nr; ++j) crow[j] = arow[j];
+        else
+          for (int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
+      }
+    }
+  }
+}
+
+/// The packing and block kernels of one ISA tier.
+struct F32Tier {
+  decltype(&pack_a) pack_a_fn;
+  decltype(&pack_b) pack_b_fn;
+  decltype(&block) block_fn;
+};
+
+F32Tier f32_tier(Isa isa) {
+#if defined(AXNN_HAVE_AVX2_TU)
+  if (isa == Isa::kAvx2)
+    return {detail::avx2_pack_a_f32, detail::avx2_pack_b_f32, detail::avx2_block_f32};
+#endif
+  (void)isa;
+  return {pack_a, pack_b, block};
+}
+
 }  // namespace
 
 namespace detail {
 
 void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,
-                 int64_t m, int64_t k, int64_t n, ThreadPool& pool) {
+                 int64_t m, int64_t k, int64_t n, Isa isa, ThreadPool& pool) {
   // Whole zero-padded strips: round the block edge up to MR/NR.
   constexpr size_t kApackElems = static_cast<size_t>((MC + MR - 1) / MR * MR) * KC;
   constexpr size_t kBpackElems = static_cast<size_t>((NC + NR - 1) / NR * NR) * KC;
+  const F32Tier tier = f32_tier(isa);
   pool.parallel_for(
       m,
       [&](int64_t r0, int64_t r1) {
         float* apack = scratch<float>(ScratchSlot::kPackA, kApackElems);
         float* bpack = scratch<float>(ScratchSlot::kPackB, kBpackElems);
-        float acc[MR * NR];
         for (int64_t jc = 0; jc < n; jc += NC) {
           const int64_t nc = std::min(NC, n - jc);
           for (int64_t kb = 0; kb < k; kb += KC) {
             const int64_t kc = std::min(KC, k - kb);
-            pack_b(bpack, b, desc.trans_b, k, n, kb, kc, jc, nc);
+            tier.pack_b_fn(bpack, b, desc.trans_b, k, n, kb, kc, jc, nc);
             const bool store = (kb == 0) && !desc.accumulate;
             for (int64_t i0 = r0; i0 < r1; i0 += MC) {
               const int64_t mc = std::min(MC, r1 - i0);
-              pack_a(apack, a, desc.trans_a, m, k, i0, mc, kb, kc);
-              for (int64_t s = 0; s < mc; s += MR) {
-                const int64_t mr = std::min(MR, mc - s);
-                const float* ap = apack + (s / MR) * kc * MR;
-                for (int64_t t = 0; t < nc; t += NR) {
-                  const int64_t nr = std::min(NR, nc - t);
-                  micro_kernel(ap, bpack + (t / NR) * kc * NR, kc, acc);
-                  for (int64_t r = 0; r < mr; ++r) {
-                    float* crow = c + (i0 + s + r) * n + jc + t;
-                    const float* arow = acc + r * NR;
-                    if (store)
-                      for (int64_t j = 0; j < nr; ++j) crow[j] = arow[j];
-                    else
-                      for (int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
-                  }
-                }
-              }
+              tier.pack_a_fn(apack, a, desc.trans_a, m, k, i0, mc, kb, kc);
+              tier.block_fn(apack, bpack, mc, nc, kc, c + i0 * n + jc, n, store);
             }
           }
         }
@@ -236,13 +261,16 @@ void set_default_backend(Backend b) { default_backend_slot().store(b); }
 
 Backend auto_backend(int64_t /*m*/, int64_t /*k*/, int64_t /*n*/) { return default_backend(); }
 
-Backend auto_backend_f32(int64_t m, int64_t k, int64_t n) {
+Backend auto_backend_f32(const GemmDesc& desc, int64_t m, int64_t k, int64_t n) {
   if (default_backend() == Backend::kNaive) return Backend::kNaive;
   // Cutover tuned so packing + per-call panel buffers stay under a few
-  // percent of the MAC count: need enough rows to fill register tiles and
-  // enough total work to amortise the B panel pack (whose cost is ~k·n, i.e.
-  // 1/m of the GEMM).
-  if (m < 2 * 4 || n < 16 || m * k * n < (int64_t{1} << 16)) return Backend::kNaive;
+  // percent of the MAC count: enough total work to amortise the B panel pack
+  // (whose cost is ~k·n, i.e. 1/m of the GEMM). The naive axpy layouts
+  // (nn/tn) stream B rows and stay faster on thin m; the naive dot-product
+  // layouts (nt/tt) accumulate in double, one element at a time, and lose
+  // to the blocked kernel at every m.
+  if (n < 16 || m * k * n < (int64_t{1} << 16)) return Backend::kNaive;
+  if (!desc.trans_b && m < 2 * 4) return Backend::kNaive;
   return Backend::kBlocked;
 }
 

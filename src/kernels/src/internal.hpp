@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "axnn/kernels/isa.hpp"
+
 namespace axnn {
 class ThreadPool;
 }
@@ -17,10 +19,22 @@ struct GemmDesc;
 
 namespace axnn::kernels::detail {
 
-// Cache-blocked float kernel (scalar arithmetic, packs into per-thread
-// scratch arenas). Called through GemmPlan::run.
+// Geometry of the cache-blocked float kernel: MR×NR register tiles, A packed
+// in MC×KC blocks of MR-row strips ([kc][MR] each), B in KC×NC panels of
+// NR-column strips ([kc][NR] each), edge strips zero-padded. Every tier
+// shares it, so each output element sums its k-terms in ascending order
+// inside a KC panel and adds the panels in order, whatever the ISA.
+constexpr int64_t kF32Mr = 4;
+constexpr int64_t kF32Nr = 8;
+constexpr int64_t kF32Mc = 64;
+constexpr int64_t kF32Kc = 256;
+constexpr int64_t kF32Nc = 256;
+
+// Cache-blocked float kernel: packs into per-thread scratch arenas and runs
+// the `isa` tier's packing and micro-kernels (scalar unless kAvx2). Called
+// through GemmPlan::run.
 void blocked_f32(const GemmDesc& desc, const float* a, const float* b, float* c,
-                 int64_t m, int64_t k, int64_t n, ThreadPool& pool);
+                 int64_t m, int64_t k, int64_t n, Isa isa, ThreadPool& pool);
 
 // Geometry of the vectorized int kernels. Columns are processed in strips
 // of kStrip with kFuse k-steps fused per pass; the weight operand is packed
@@ -61,6 +75,19 @@ void blocked_exact_scalar(const int8_t* w, const int8_t* x, int32_t* c, int64_t 
 // Bit-identical to the naive reference: same int32 product set per output
 // element.
 #if defined(AXNN_HAVE_AVX2_TU)
+// The AVX2 float tier of blocked_f32, in its packing layout. pack_a packs
+// rows [i0, i0 + mc) × k-steps [kb, kb + kc) of op(A); pack_b packs k-steps
+// [kb, kb + kc) × columns [jc, jc + nc) of op(B). block multiplies packed
+// A (mc rows) by packed B (nc columns) over kc k-steps into C (row stride
+// ldc): stored when `store`, else added. Separate multiply and add, no FMA,
+// so every element is bit-identical to the scalar tier.
+void avx2_pack_a_f32(float* dst, const float* a, bool trans, int64_t m, int64_t k,
+                     int64_t i0, int64_t mc, int64_t kb, int64_t kc);
+void avx2_pack_b_f32(float* dst, const float* b, bool trans, int64_t k, int64_t n,
+                     int64_t kb, int64_t kc, int64_t jc, int64_t nc);
+void avx2_block_f32(const float* apack, const float* bpack, int64_t mc, int64_t nc,
+                    int64_t kc, float* c, int64_t ldc, bool store);
+
 void avx2_masked_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
                       int64_t k, int64_t n, const int8_t* tables, bool accumulate,
                       int64_t j0, int64_t j1);

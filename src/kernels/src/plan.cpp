@@ -91,7 +91,8 @@ PlanKey make_f32_key(const GemmDesc& desc, int64_t m, int64_t k, int64_t n,
   key.trans_b = desc.trans_b;
   key.accumulate = desc.accumulate;
   key.backend = backend;
-  key.isa = Isa::kScalar;  // float kernels are ISA-independent (scalar numerics)
+  // The float tiers are scalar and AVX2; both give the same bits.
+  key.isa = active_isa() == Isa::kAvx2 ? Isa::kAvx2 : Isa::kScalar;
   key.m = m;
   key.k = k;
   key.n = n;
@@ -195,7 +196,8 @@ bool is_truncated_array(const int32_t* t) {
 
 GemmPlan::GemmPlan(const PlanKey& key, const approx::SignedMulTable* tab) : key_(key) {
   if (key_.op == OpKind::kF32) {
-    tile_ = Tile{4, 8, 64, 256, 256, 0};
+    tile_ = Tile{detail::kF32Mr, detail::kF32Nr, detail::kF32Mc, detail::kF32Kc,
+                 detail::kF32Nc, 0};
     return;
   }
   tile_ = Tile{4, detail::kStrip, 0, 0, 512, detail::kFuse};
@@ -254,7 +256,7 @@ GemmPlan::~GemmPlan() { free_tables(tables_); }
 void GemmPlan::run(const float* a, const float* b, float* c, ThreadPool* pool) const {
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
   const GemmDesc desc{key_.trans_a, key_.trans_b, key_.accumulate};
-  detail::blocked_f32(desc, a, b, c, key_.m, key_.k, key_.n, p);
+  detail::blocked_f32(desc, a, b, c, key_.m, key_.k, key_.n, key_.isa, p);
 }
 
 size_t GemmPlan::packed_weights_size() const {

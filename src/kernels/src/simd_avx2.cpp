@@ -1,5 +1,6 @@
-// axnn — AVX2 int GEMM kernels. This TU is compiled with -mavx2 and must
-// only be *called* after a runtime CPU check (Isa::kAvx2 active).
+// axnn — AVX2 GEMM kernels: the int tiers and the float tier of the blocked
+// f32 kernel (last section). This TU is compiled with -mavx2 (never -mfma)
+// and must only be *called* after a runtime CPU check (Isa::kAvx2 active).
 //
 // Bit-identity contract: every output element accumulates exactly the same
 // multiset of int32 terms as the naive reference kernel. int32 addition is
@@ -356,6 +357,181 @@ void avx2_exact_cols(const uint8_t* wq, const int8_t* x, int32_t* c, int64_t m,
       for (; kk < k; ++kk)
         acc += static_cast<int32_t>(static_cast<int8_t>(wq[kk * m + i])) * x[kk * n + jj];
       c[i * n + jj] = acc;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Float tier of blocked_f32: the scalar tier's packing layout and tiles, with
+// the MR rows of a tile as MR ymm accumulators of NR = 8 lanes. Each lane
+// does acc = acc + a·b per k-step, a separate multiply then add (this TU
+// has no -mfma), from a zero start, so it rounds exactly where the scalar
+// micro-kernel does.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr int64_t MR = kF32Mr;
+constexpr int64_t NR = kF32Nr;
+static_assert(NR == 8, "one ymm per packed B row");
+static_assert(MR == 4, "one xmm per packed A row");
+
+/// In-lane 4×4 transposes: lane h of out[q] holds element q of lane h of
+/// in[0..3].
+inline void transpose4_lanes(const __m256 in[4], __m256 out[4]) {
+  const __m256 t0 = _mm256_unpacklo_ps(in[0], in[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(in[0], in[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(in[2], in[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(in[2], in[3]);
+  out[0] = _mm256_shuffle_ps(t0, t2, 0x44);
+  out[1] = _mm256_shuffle_ps(t0, t2, 0xEE);
+  out[2] = _mm256_shuffle_ps(t1, t3, 0x44);
+  out[3] = _mm256_shuffle_ps(t1, t3, 0xEE);
+}
+
+/// Four floats at p, or zeros for a row past the edge (p == nullptr).
+inline __m128 load4(const float* p) { return p != nullptr ? _mm_loadu_ps(p) : _mm_setzero_ps(); }
+
+/// Pack 8 k-steps of 8 rows of a transposed operand: rows[jj] + kk is the
+/// jj-th row's run of k-steps (nullptr = zero padding), out gets k-step q's
+/// 8 values at out + q * 8. The halves are loaded straight into their lanes,
+/// so the transpose is two in-lane 4×4 transposes.
+inline void pack_8x8(const float* const rows[8], int64_t kk, float* out) {
+  for (int64_t half = 0; half < 2; ++half) {
+    __m256 in[4], tr[4];
+    for (int64_t q = 0; q < 4; ++q) {
+      const float* lo = rows[q] != nullptr ? rows[q] + kk + 4 * half : nullptr;
+      const float* hi = rows[q + 4] != nullptr ? rows[q + 4] + kk + 4 * half : nullptr;
+      in[q] = _mm256_insertf128_ps(_mm256_castps128_ps256(load4(lo)), load4(hi), 1);
+    }
+    transpose4_lanes(in, tr);
+    for (int64_t q = 0; q < 4; ++q) _mm256_storeu_ps(out + (4 * half + q) * 8, tr[q]);
+  }
+}
+
+/// Rows [0, mr) and columns [0, nr) of one tile into C: stored, or added as
+/// c + acc (the scalar tier's `c += acc`). The row loop is unrolled so every
+/// acc[r] has a constant index and the accumulators stay in registers
+/// through the k loop.
+inline void store_tile(const __m256 (&acc)[MR], float* c, int64_t ldc, int64_t mr,
+                       int64_t nr, bool store) {
+#pragma GCC unroll 4
+  for (int64_t r = 0; r < MR; ++r) {
+    if (r >= mr) break;
+    float* crow = c + r * ldc;
+    if (nr == NR) {
+      _mm256_storeu_ps(crow, store ? acc[r] : _mm256_add_ps(_mm256_loadu_ps(crow), acc[r]));
+    } else {
+      alignas(32) float tmp[NR];
+      _mm256_store_ps(tmp, acc[r]);
+      for (int64_t j = 0; j < nr; ++j) crow[j] = store ? tmp[j] : crow[j] + tmp[j];
+    }
+  }
+}
+
+}  // namespace
+
+void avx2_pack_a_f32(float* dst, const float* a, bool trans, int64_t m, int64_t k,
+                     int64_t i0, int64_t mc, int64_t kb, int64_t kc) {
+  for (int64_t s = 0; s < mc; s += MR, dst += kc * MR) {
+    const int64_t i = i0 + s;
+    const int64_t mr = std::min(MR, mc - s);
+    if (trans) {
+      // op(A) row i is column i of A: a strip's MR values are contiguous.
+      for (int64_t kk = 0; kk < kc; ++kk) {
+        const float* src = a + (kb + kk) * m + i;
+        if (mr == MR) {
+          _mm_storeu_ps(dst + kk * MR, _mm_loadu_ps(src));
+        } else {
+          for (int64_t r = 0; r < MR; ++r) dst[kk * MR + r] = r < mr ? src[r] : 0.0f;
+        }
+      }
+      continue;
+    }
+    // MR rows × 8 k-steps in; each in-lane transpose yields k-steps q and
+    // q + 4 of all MR rows.
+    const float* rows[MR];
+    for (int64_t r = 0; r < MR; ++r) rows[r] = r < mr ? a + (i + r) * k + kb : nullptr;
+    int64_t kk = 0;
+    for (; kk + 8 <= kc; kk += 8) {
+      __m256 in[MR], tr[MR];
+      for (int64_t r = 0; r < MR; ++r)
+        in[r] = rows[r] != nullptr ? _mm256_loadu_ps(rows[r] + kk) : _mm256_setzero_ps();
+      transpose4_lanes(in, tr);
+      for (int64_t q = 0; q < 4; ++q) {
+        _mm_storeu_ps(dst + (kk + q) * MR, _mm256_castps256_ps128(tr[q]));
+        _mm_storeu_ps(dst + (kk + q + 4) * MR, _mm256_extractf128_ps(tr[q], 1));
+      }
+    }
+    for (; kk < kc; ++kk)
+      for (int64_t r = 0; r < MR; ++r) dst[kk * MR + r] = rows[r] != nullptr ? rows[r][kk] : 0.0f;
+  }
+}
+
+void avx2_pack_b_f32(float* dst, const float* b, bool trans, int64_t k, int64_t n,
+                     int64_t kb, int64_t kc, int64_t jc, int64_t nc) {
+  for (int64_t t = 0; t < nc; t += NR, dst += kc * NR) {
+    const int64_t j = jc + t;
+    const int64_t nr = std::min(NR, nc - t);
+    if (!trans) {
+      if (nr == NR) {
+        for (int64_t kk = 0; kk < kc; ++kk)
+          _mm256_storeu_ps(dst + kk * NR, _mm256_loadu_ps(b + (kb + kk) * n + j));
+      } else {
+        for (int64_t kk = 0; kk < kc; ++kk)
+          for (int64_t jj = 0; jj < NR; ++jj)
+            dst[kk * NR + jj] = jj < nr ? b[(kb + kk) * n + j + jj] : 0.0f;
+      }
+      continue;
+    }
+    // The weight-gradient layout: op(B) column j is row j of B, so a strip
+    // is 8 rows of B transposed (rows past the edge pack as zeros).
+    const float* rows[NR];
+    for (int64_t jj = 0; jj < NR; ++jj) rows[jj] = jj < nr ? b + (j + jj) * k + kb : nullptr;
+    int64_t kk = 0;
+    for (; kk + 8 <= kc; kk += 8) pack_8x8(rows, kk, dst + kk * NR);
+    for (; kk < kc; ++kk)
+      for (int64_t jj = 0; jj < NR; ++jj)
+        dst[kk * NR + jj] = rows[jj] != nullptr ? rows[jj][kk] : 0.0f;
+  }
+}
+
+void avx2_block_f32(const float* apack, const float* bpack, int64_t mc, int64_t nc,
+                    int64_t kc, float* c, int64_t ldc, bool store) {
+  for (int64_t s = 0; s < mc; s += MR) {
+    const int64_t mr = std::min(MR, mc - s);
+    const float* ap = apack + s * kc;
+    float* cs = c + s * ldc;
+    int64_t t = 0;
+    // Two strips at a time while a second one exists: 2·MR independent
+    // accumulators hide the add latency.
+    for (; t + NR < nc; t += 2 * NR) {
+      const float* b0 = bpack + t * kc;
+      const float* b1 = b0 + kc * NR;
+      __m256 acc0[MR], acc1[MR];
+      for (int64_t r = 0; r < MR; ++r) acc0[r] = acc1[r] = _mm256_setzero_ps();
+      for (int64_t kk = 0; kk < kc; ++kk) {
+        const __m256 bv0 = _mm256_loadu_ps(b0 + kk * NR);
+        const __m256 bv1 = _mm256_loadu_ps(b1 + kk * NR);
+        for (int64_t r = 0; r < MR; ++r) {
+          const __m256 av = _mm256_broadcast_ss(ap + kk * MR + r);
+          acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, bv0));
+          acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, bv1));
+        }
+      }
+      store_tile(acc0, cs + t, ldc, mr, NR, store);
+      store_tile(acc1, cs + t + NR, ldc, mr, std::min(NR, nc - t - NR), store);
+    }
+    for (; t < nc; t += NR) {
+      const float* b0 = bpack + t * kc;
+      __m256 acc[MR];
+      for (int64_t r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
+      for (int64_t kk = 0; kk < kc; ++kk) {
+        const __m256 bv = _mm256_loadu_ps(b0 + kk * NR);
+        for (int64_t r = 0; r < MR; ++r)
+          acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_broadcast_ss(ap + kk * MR + r), bv));
+      }
+      store_tile(acc, cs + t, ldc, mr, std::min(NR, nc - t), store);
     }
   }
 }

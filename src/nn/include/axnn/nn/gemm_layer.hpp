@@ -141,13 +141,16 @@ protected:
   /// time (the serving lanes each own a model replica).
   mutable kernels::PlanMemo plan_memo_;
 
+  /// Telemetry path captured at forward; backward runs outside the
+  /// container scopes and records its timers here.
+  std::string obs_path_;
+
 private:
   quant::RangeObserver act_obs_;
   std::optional<Tensor> calib_in_;      ///< cached GEMM operand for MinPropQE
   std::optional<Tensor> calib_out_fp_;  ///< cached float output for MinPropQE
   bool calib_forward_ = false;          ///< last forward was kCalibrate
   int64_t last_macs_ = 0;
-  std::string obs_path_;  ///< telemetry path captured at forward (backward reuses it)
 };
 
 }  // namespace axnn::nn

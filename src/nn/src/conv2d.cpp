@@ -17,7 +17,7 @@ namespace {
 Tensor to_mat(const Tensor& fmap) {
   const int64_t n = fmap.shape()[0], o = fmap.shape()[1];
   const int64_t hw = fmap.shape()[2] * fmap.shape()[3];
-  Tensor mat(Shape{o, n * hw});
+  Tensor mat(Shape{o, n * hw}, kUninit);
   for (int64_t b = 0; b < n; ++b)
     for (int64_t ch = 0; ch < o; ++ch) {
       const float* src = fmap.data() + (b * o + ch) * hw;
@@ -63,7 +63,7 @@ Tensor Conv2d::float_gemm(const float* w, const Tensor& cols) const {
   Tensor out(Shape{o, p});
   for (int64_t g = 0; g < grp; ++g)
     kernels::gemm({}, w + g * og * kg, cols.data() + g * kg * p, out.data() + g * og * p,
-                  og, kg, p, kernels::auto_backend_f32(og, kg, p), nullptr, &plan_memo_);
+                  og, kg, p, kernels::auto_backend_f32({}, og, kg, p), nullptr, &plan_memo_);
   return out;
 }
 
@@ -168,6 +168,7 @@ Tensor Conv2d::run(const Tensor& x, const ExecContext& ctx, const std::string& o
 
 Tensor Conv2d::backward(const Tensor& dy) {
   require_backward_caches();
+  obs::ScopedTimer timer("backward.ns", obs_path_);
   const ConvGeom geom = geom_of(in_shape_);
   if (dy.shape() != Shape{geom.n, cfg_.out_channels, geom.oh, geom.ow})
     throw std::invalid_argument("Conv2d::backward: dy shape mismatch");
@@ -189,23 +190,36 @@ Tensor Conv2d::backward(const Tensor& dy) {
 
   Tensor dy_scaled;
   const Tensor& dyw = ge_scaled(dy_mat, dy_scaled);
-  Tensor dw_mat(Shape{o, kg});
-  for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({.trans_b = true}, dyw.data() + g * og * p, cached_in_.data() + g * kg * p,
-                  dw_mat.data() + g * og * kg, og, p, kg,
-                  kernels::auto_backend_f32(og, p, kg), nullptr, &plan_memo_);
-  ops::add_inplace(weight_.grad, dw_mat.reshaped(weight_.grad.shape()));
+  {
+    obs::ScopedTimer t("backward.dw_gemm.ns", obs_path_);
+    const kernels::GemmDesc desc{.trans_b = true};
+    Tensor dw(weight_.grad.shape(), kUninit);  // [O, C/groups, k, k] = [O, kg]
+    for (int64_t g = 0; g < grp; ++g)
+      kernels::gemm(desc, dyw.data() + g * og * p, cached_in_.data() + g * kg * p,
+                    dw.data() + g * og * kg, og, p, kg,
+                    kernels::auto_backend_f32(desc, og, p, kg), nullptr, &plan_memo_);
+    ops::add_inplace(weight_.grad, dw);
+  }
 
-  Tensor dcols(Shape{grp * kg, p}, 0.0f);
-  for (int64_t g = 0; g < grp; ++g)
-    kernels::gemm({.trans_a = true, .accumulate = true}, cached_w_.data() + g * og * kg,
-                  dy_mat.data() + g * og * p, dcols.data() + g * kg * p, kg, og, p,
-                  kernels::auto_backend_f32(kg, og, p), nullptr, &plan_memo_);
-  Tensor dx = col2im(dcols, geom);
+  Tensor dcols(Shape{grp * kg, p}, kUninit);
+  {
+    obs::ScopedTimer t("backward.dx_gemm.ns", obs_path_);
+    const kernels::GemmDesc desc{.trans_a = true};
+    for (int64_t g = 0; g < grp; ++g)
+      kernels::gemm(desc, cached_w_.data() + g * og * kg, dy_mat.data() + g * og * p,
+                    dcols.data() + g * kg * p, kg, og, p,
+                    kernels::auto_backend_f32(desc, kg, og, p), nullptr, &plan_memo_);
+  }
+  Tensor dx;
+  {
+    obs::ScopedTimer t("backward.col2im.ns", obs_path_);
+    dx = col2im(dcols, geom);
+  }
 
   // Clipped STE on activations: gradients are blocked where the input
   // saturated the 8-bit range.
   if (!cached_act_mask_.empty()) {
+    obs::ScopedTimer t("backward.ste_mask.ns", obs_path_);
     for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
   }
   return dx;

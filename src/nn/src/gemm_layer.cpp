@@ -134,10 +134,15 @@ const Tensor& GemmLayer::ge_scaled(const Tensor& dy, Tensor& scaled) const {
   // Gradient estimation (Eq. 12): scale the weight-gradient path by (1 + K),
   // where K is the derivative of the fitted error function evaluated at the
   // integer accumulator value of each output element.
+  // 1 + K takes two values: float(1 + k) in the fit's linear region, 1.0f
+  // where it is clamped.
   if (cached_fit_ == nullptr) return dy;
-  scaled = dy;
+  const ge::ErrorFit& fit = *cached_fit_;
+  const float up = static_cast<float>(1.0 + fit.k);
+  scaled = Tensor(dy.shape(), kUninit);
+  const float* acc = cached_acc_.data();
   for (int64_t i = 0; i < scaled.numel(); ++i)
-    scaled[i] *= static_cast<float>(1.0 + cached_fit_->derivative(cached_acc_[i]));
+    scaled[i] = dy[i] * (fit.linear_at(acc[i]) ? up : 1.0f);
   if (obs::enabled()) detail::record_ge_backward(obs_path_, *cached_fit_, cached_acc_);
   return scaled;
 }

@@ -32,8 +32,9 @@ std::string Linear::name() const {
 Tensor Linear::float_gemm(const float* w, const Tensor& x) const {
   const int64_t n = x.shape()[0];
   Tensor y(Shape{n, out_});
-  kernels::gemm({.trans_b = true}, x.data(), w, y.data(), n, in_, out_,
-                kernels::auto_backend_f32(n, in_, out_), nullptr, &plan_memo_);
+  const kernels::GemmDesc desc{.trans_b = true};
+  kernels::gemm(desc, x.data(), w, y.data(), n, in_, out_,
+                kernels::auto_backend_f32(desc, n, in_, out_), nullptr, &plan_memo_);
   return y;
 }
 
@@ -120,6 +121,7 @@ Tensor Linear::run(const Tensor& x, const ExecContext& ctx, const std::string& o
 
 Tensor Linear::backward(const Tensor& dy) {
   require_backward_caches();
+  obs::ScopedTimer timer("backward.ns", obs_path_);
   const int64_t n = in_shape_[0];
   if (dy.shape() != Shape{n, out_})
     throw std::invalid_argument("Linear::backward: dy shape mismatch");
@@ -134,17 +136,25 @@ Tensor Linear::backward(const Tensor& dy) {
 
   Tensor dy_scaled;
   const Tensor& dyw = ge_scaled(dy, dy_scaled);
-  // dW[O,F] += dyᵀ · x
-  kernels::gemm({.trans_a = true, .accumulate = true}, dyw.data(), cached_in_.data(),
-                weight_.grad.data(), out_, n, in_,
-                kernels::auto_backend_f32(out_, n, in_), nullptr, &plan_memo_);
+  {
+    // dW[O,F] += dyᵀ · x
+    obs::ScopedTimer t("backward.dw_gemm.ns", obs_path_);
+    const kernels::GemmDesc desc{.trans_a = true, .accumulate = true};
+    kernels::gemm(desc, dyw.data(), cached_in_.data(), weight_.grad.data(), out_, n, in_,
+                  kernels::auto_backend_f32(desc, out_, n, in_), nullptr, &plan_memo_);
+  }
 
   // dx[N,F] = dy · W
-  Tensor dx(Shape{n, in_});
-  kernels::gemm({}, dy.data(), cached_w_.data(), dx.data(), n, out_, in_,
-                kernels::auto_backend_f32(n, out_, in_), nullptr, &plan_memo_);
-  if (!cached_act_mask_.empty())
+  Tensor dx(Shape{n, in_}, kUninit);
+  {
+    obs::ScopedTimer t("backward.dx_gemm.ns", obs_path_);
+    kernels::gemm({}, dy.data(), cached_w_.data(), dx.data(), n, out_, in_,
+                  kernels::auto_backend_f32({}, n, out_, in_), nullptr, &plan_memo_);
+  }
+  if (!cached_act_mask_.empty()) {
+    obs::ScopedTimer t("backward.ste_mask.ns", obs_path_);
     for (int64_t i = 0; i < dx.numel(); ++i) dx[i] *= cached_act_mask_[i];
+  }
   return dx;
 }
 

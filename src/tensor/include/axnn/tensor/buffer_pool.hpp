@@ -19,6 +19,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 namespace axnn {
 
@@ -63,6 +66,19 @@ struct PoolAllocator {
 
   T* allocate(std::size_t n) { return static_cast<T*>(detail::pool_alloc(n * sizeof(T))); }
   void deallocate(T* p, std::size_t n) noexcept { detail::pool_free(p, n * sizeof(T)); }
+
+  /// Construction without a value default-initialises, so a vector(n) of
+  /// arithmetic T is left uninitialised: every such caller writes each
+  /// element before reading it. Constructions with a value (a fill, a copy)
+  /// are unchanged.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
 
   template <typename U>
   bool operator==(const PoolAllocator<U>&) const noexcept {

@@ -23,6 +23,12 @@
 
 namespace axnn {
 
+/// Tag of BasicTensor's uninitialised-storage constructor.
+struct Uninit {
+  explicit Uninit() = default;
+};
+inline constexpr Uninit kUninit{};
+
 template <typename T>
 class BasicTensor {
 public:
@@ -33,6 +39,11 @@ public:
 
   explicit BasicTensor(Shape shape, T fill = T{})
       : shape_(shape), data_(static_cast<size_t>(shape.numel()), fill) {}
+
+  /// Storage left uninitialised: only for a tensor whose every element the
+  /// caller writes before reading any (a store-mode GEMM output, a full
+  /// copy).
+  BasicTensor(Shape shape, Uninit) : shape_(shape), data_(static_cast<size_t>(shape.numel())) {}
 
   BasicTensor(Shape shape, storage_type data) : shape_(shape), data_(std::move(data)) {
     if (static_cast<int64_t>(data_.size()) != shape_.numel())

@@ -215,6 +215,46 @@ TEST(IsaGolden, ScalarTierMatchesVectorTierBitExact) {
   }
 }
 
+// The float tiers at the shapes a fine-tune step's backward runs (weight
+// gradient 4×8192×36 nt, input gradient 36×4×8192 tn, stage 2 8×2048×72),
+// then ragged edges: m not a multiple of the 4-row tile, n not of the
+// 8-column strip, k not of the 8-step pack nor of the 256-step panel, and
+// blocks that cross the 64-row and 256-column block edges. Every
+// transpose/accumulate variant, bit for bit.
+TEST(IsaGolden, F32EveryLayoutMatchesScalarTierBitExact) {
+  const kernels::Isa vector_isa = kernels::active_isa();
+  if (vector_isa == kernels::Isa::kScalar)
+    GTEST_SKIP() << "no vector ISA on this machine";
+  struct Restore {
+    kernels::Isa isa;
+    ~Restore() { kernels::set_isa(isa); }
+  } restore{vector_isa};
+
+  struct Dims {
+    int64_t m, k, n;
+  };
+  const Dims shapes[] = {{4, 8192, 36}, {36, 4, 8192}, {8, 2048, 72}, {5, 259, 13},
+                         {67, 515, 263}, {3, 7, 9},    {1, 300, 17},  {13, 1, 31}};
+  for (const bool trans_a : {false, true})
+    for (const bool trans_b : {false, true})
+      for (const bool accumulate : {false, true}) {
+        const GemmDesc desc{.trans_a = trans_a, .trans_b = trans_b, .accumulate = accumulate};
+        for (const Dims& d : shapes) {
+          const auto a = random_floats(d.m * d.k, 31 * d.m + d.k);
+          const auto b = random_floats(d.k * d.n, 37 * d.k + d.n);
+          const auto c0 = random_floats(d.m * d.n, 41 * d.m + d.n);
+          std::vector<float> vec = c0, sc = c0;
+          kernels::set_isa(vector_isa);
+          kernels::gemm(desc, a.data(), b.data(), vec.data(), d.m, d.k, d.n, Backend::kBlocked);
+          kernels::set_isa(kernels::Isa::kScalar);
+          kernels::gemm(desc, a.data(), b.data(), sc.data(), d.m, d.k, d.n, Backend::kBlocked);
+          ASSERT_EQ(0, std::memcmp(vec.data(), sc.data(), vec.size() * sizeof(float)))
+              << "tA=" << trans_a << " tB=" << trans_b << " acc=" << accumulate
+              << " m=" << d.m << " k=" << d.k << " n=" << d.n;
+        }
+      }
+}
+
 // ---------------------------------------------------------------------------
 // Approximate kernel tiers: the closed form (truncated tables), the vector
 // LUT and the scalar slice kernel must each equal the naive reference, and
@@ -415,10 +455,25 @@ TEST(BackendConfig, NamesAndDefaultRoundTrip) {
 TEST(BackendConfig, AutoBackendCutsOverOnSmallProblems) {
   const Backend saved = kernels::default_backend();
   kernels::set_default_backend(Backend::kBlocked);
-  // Float rule: packing only pays off on big enough problems.
-  EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(1, 576, 1024));  // depthwise row
-  EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(64, 3, 4));      // tiny
-  EXPECT_EQ(Backend::kBlocked, kernels::auto_backend_f32(64, 576, 1024));
+  // Float rule: packing only pays off on big enough problems, whatever the
+  // layout; below 8 rows only the transposed-B (dot-product) layouts go
+  // blocked.
+  const GemmDesc nn{}, tn{.trans_a = true}, nt{.trans_b = true};
+  const GemmDesc tt{.trans_a = true, .trans_b = true};
+  for (const GemmDesc& d : {nn, tn, nt, tt}) {
+    EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(d, 64, 3, 4));   // tiny
+    EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(d, 8, 2048, 4));  // 1x1 dW, n < 16
+    EXPECT_EQ(Backend::kBlocked, kernels::auto_backend_f32(d, 64, 576, 1024));
+    EXPECT_EQ(Backend::kBlocked, kernels::auto_backend_f32(d, 36, 4, 8192));  // stage-1 dX
+  }
+  for (const GemmDesc& d : {nn, tn}) {
+    EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(d, 1, 576, 1024));  // depthwise row
+    EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(d, 4, 36, 8192));   // stage-1 forward
+  }
+  for (const GemmDesc& d : {nt, tt}) {
+    EXPECT_EQ(Backend::kBlocked, kernels::auto_backend_f32(d, 1, 576, 1024));
+    EXPECT_EQ(Backend::kBlocked, kernels::auto_backend_f32(d, 4, 8192, 36));  // stage-1 dW
+  }
   // Int rule: the column-striped plans take every shape, served ones included.
   EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(1, 9, 2048));    // depthwise group
   EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(4, 36, 2048));   // stage-1 conv, b8
@@ -426,7 +481,8 @@ TEST(BackendConfig, AutoBackendCutsOverOnSmallProblems) {
   EXPECT_EQ(Backend::kBlocked, kernels::auto_backend(64, 576, 1024));
   kernels::set_default_backend(Backend::kNaive);
   EXPECT_EQ(Backend::kNaive, kernels::auto_backend(64, 576, 1024));
-  EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(64, 576, 1024));
+  EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(nt, 4, 8192, 36));
+  EXPECT_EQ(Backend::kNaive, kernels::auto_backend_f32(nn, 64, 576, 1024));
   kernels::set_default_backend(saved);
 }
 

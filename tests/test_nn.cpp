@@ -157,6 +157,74 @@ TEST(Im2col, MatchesNaiveReference) {
   }
 }
 
+/// The per-element col2im scatter-add the plane and row adjoints replaced:
+/// every tap bounds-checked on its own, accumulated in (kh, kw) order.
+Tensor naive_col2im(const Tensor& cols, const ConvGeom& g) {
+  Tensor dx(Shape{g.n, g.c, g.h, g.w}, 0.0f);
+  for (int64_t c = 0; c < g.c; ++c)
+    for (int64_t kh = 0; kh < g.kernel; ++kh)
+      for (int64_t kw = 0; kw < g.kernel; ++kw)
+        for (int64_t n = 0; n < g.n; ++n)
+          for (int64_t i = 0; i < g.oh; ++i)
+            for (int64_t j = 0; j < g.ow; ++j) {
+              const int64_t ih = i * g.stride - g.padding + kh;
+              const int64_t iw = j * g.stride - g.padding + kw;
+              if (ih < 0 || ih >= g.h || iw < 0 || iw >= g.w) continue;
+              dx(n, c, ih, iw) += cols((c * g.kernel + kh) * g.kernel + kw, (n * g.oh + i) * g.ow + j);
+            }
+  return dx;
+}
+
+/// col2im against the naive reference, bit for bit. The gradients span six
+/// decades, so any change of accumulation order shows, and every 5th/7th one
+/// is a -0.0f/+0.0f (a masked tap must not touch dx, and a zero that lands
+/// must add exactly as the reference adds it).
+void expect_col2im_matches_naive(const ConvGeom& g, Rng& rng) {
+  Tensor cols = randn(Shape{g.patch_rows(), g.out_cols()}, rng);
+  for (int64_t i = 0; i < cols.numel(); ++i) {
+    cols[i] *= std::pow(10.0f, static_cast<float>(i % 7) - 3.0f);
+    if (i % 5 == 0) cols[i] = -0.0f;
+    if (i % 7 == 0) cols[i] = 0.0f;
+  }
+  const Tensor want = naive_col2im(cols, g);
+  const Tensor got = col2im(cols, g);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (int64_t i = 0; i < want.numel(); ++i)
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << "index " << i << ": " << got[i] << " vs " << want[i];
+}
+
+TEST(Im2col, Col2imMatchesNaiveReference) {
+  Rng rng(22);
+  const int64_t dims[][2] = {{5, 7}, {6, 4}, {7, 6}, {4, 4}, {1, 1}, {16, 16}};
+  for (const auto& hw : dims)
+    for (const int64_t k : {1, 3})
+      for (const int64_t stride : {1, 2})
+        for (const int64_t pad : {0, 1, 2}) {
+          if (hw[0] + 2 * pad < k || hw[1] + 2 * pad < k) continue;
+          const ConvGeom g = ConvGeom::of(Shape{2, 3, hw[0], hw[1]}, k, stride, pad);
+          SCOPED_TRACE(geom_name(g));
+          expect_col2im_matches_naive(g, rng);
+        }
+  // Every geometry a fine-tune step of the fast-profile ResNet20
+  // back-propagates through, at batch 4.
+  const int64_t leaves[][4] = {{3, 16, 3, 1}, {4, 16, 3, 1}, {4, 16, 3, 2}, {4, 16, 1, 2},
+                               {8, 8, 3, 1},  {8, 8, 3, 2},  {8, 8, 1, 2},  {16, 4, 3, 1}};
+  for (const auto& l : leaves) {
+    const ConvGeom g = ConvGeom::of(Shape{4, l[0], l[1], l[1]}, l[2], l[3], l[2] / 2);
+    SCOPED_TRACE(geom_name(g));
+    expect_col2im_matches_naive(g, rng);
+  }
+  // All -0.0f gradients: every landed sum is +0.0f, every untouched
+  // element keeps the zero fill's +0.0f.
+  for (const int64_t stride : {1, 2}) {
+    const ConvGeom g = ConvGeom::of(Shape{2, 3, 6, 6}, 3, stride, 1);
+    const Tensor dx = col2im(Tensor(Shape{g.patch_rows(), g.out_cols()}, -0.0f), g);
+    for (int64_t i = 0; i < dx.numel(); ++i)
+      ASSERT_EQ(std::bit_cast<uint32_t>(dx[i]), 0u) << "stride " << stride << " index " << i;
+  }
+}
+
 TEST(Im2col, Col2imIsAdjoint) {
   // <im2col(x), c> == <x, col2im(c)> for random x, c — the defining property
   // of the backward scatter.

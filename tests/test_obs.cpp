@@ -11,6 +11,7 @@
 #include "axnn/axmul/registry.hpp"
 #include "axnn/core/pipeline.hpp"
 #include "axnn/core/profile.hpp"
+#include "axnn/ge/monte_carlo.hpp"
 #include "axnn/nn/plan.hpp"
 #include "axnn/obs/json.hpp"
 #include "axnn/obs/report.hpp"
@@ -237,6 +238,45 @@ TEST(TelemetryModel, PerLayerPathsMatchPlanAddressableLeaves) {
     if (std::count(path.begin(), path.end(), '/') >= 2) nested = true;
   }
   EXPECT_TRUE(nested);
+}
+
+TEST(TelemetryModel, BackwardTimersSplitEachLeafBackward) {
+  Workbench wb(micro_config());
+  (void)wb.run_quantization_stage(/*use_kd=*/false);
+  const auto batch = wb.data().train.slice(0, 16);
+  const approx::SignedMulTable tab(axmul::make_lut("trunc5"));
+  const ge::ErrorFit fit = ge::fit_multiplier_error(tab);
+  const nn::ExecContext ctx = nn::ExecContext::quant_approx(tab, &fit, /*training=*/true);
+
+  obs::Collector c({.timing = true});
+  {
+    obs::ScopedCollector attach(c);
+    const Tensor logits = wb.model().forward(batch.first, ctx);
+    (void)wb.model().backward(Tensor(logits.shape(), 1.0f));
+  }
+  const auto metrics = c.metrics();
+  for (const auto& leaf : nn::enumerate_gemm_leaves(wb.model())) {
+    const auto it = metrics.find(leaf.path);
+    ASSERT_NE(it, metrics.end()) << leaf.path;
+    const auto& m = it->second;
+    const auto total = m.find("backward.ns");
+    ASSERT_NE(total, m.end()) << leaf.path;
+    EXPECT_EQ(total->second.count, 1) << leaf.path;
+    // Every leaf times both GEMMs and the STE mask (quantized passes keep
+    // it); conv leaves also time col2im.
+    std::vector<std::string> parts = {"backward.dw_gemm.ns", "backward.dx_gemm.ns",
+                                      "backward.ste_mask.ns"};
+    if (leaf.is_conv) parts.push_back("backward.col2im.ns");
+    double sum = 0.0;
+    for (const std::string& part : parts) {
+      const auto p = m.find(part);
+      ASSERT_NE(p, m.end()) << leaf.path << " " << part;
+      EXPECT_EQ(p->second.count, 1) << leaf.path << " " << part;
+      EXPECT_GE(p->second.sum, 0.0) << leaf.path << " " << part;
+      sum += p->second.sum;
+    }
+    EXPECT_LE(sum, total->second.sum) << leaf.path;
+  }
 }
 
 TEST(TelemetryModel, GeResidualIsZeroForExactMultiplier) {
